@@ -9,6 +9,11 @@
 // operation-count analysis: measured per-block costs c_p, c_b and the
 // eq. (6) speedup lower bound S >= (c_b/c_p) * 32/M.
 //
+// Each method is timed on two paths: scalar (`acc += x` / `acc.add(x)`, the
+// paper's per-summand algorithms) and span (`acc.accumulate(xs)`: HP's
+// carry-deferred block path, Hallberg's integer-scatter deposit). Scalar
+// vs scalar is the paper's comparison; span vs span is best vs best.
+//
 // Flags: --nmax (default 2M; paper 16M), --trials (default 3), --seed.
 #include <algorithm>
 #include <cstdio>
@@ -25,21 +30,38 @@ namespace {
 
 using namespace hpsum;
 
-double time_hp(const std::vector<double>& xs, int trials) {
-  return bench::time_min(trials, [&] {
-    HpFixed<8, 4> acc;
-    for (const double x : xs) acc += x;
-    bench::sink(acc.to_double());
-  });
+struct Times {
+  double scalar = 0;
+  double span = 0;
+};
+
+Times time_hp(const std::vector<double>& xs, int trials) {
+  return {bench::time_min(trials,
+                          [&] {
+                            HpFixed<8, 4> acc;
+                            for (const double x : xs) acc += x;
+                            bench::sink(acc.to_double());
+                          }),
+          bench::time_min(trials, [&] {
+            HpFixed<8, 4> acc;
+            acc.accumulate(xs);
+            bench::sink(acc.to_double());
+          })};
 }
 
 template <int N, int M>
-double time_hallberg(const std::vector<double>& xs, int trials) {
-  return bench::time_min(trials, [&] {
-    HallbergFixed<N, M> acc;
-    for (const double x : xs) acc.add(x);
-    bench::sink(acc.to_double());
-  });
+Times time_hallberg(const std::vector<double>& xs, int trials) {
+  return {bench::time_min(trials,
+                          [&] {
+                            HallbergFixed<N, M> acc;
+                            for (const double x : xs) acc.add(x);
+                            bench::sink(acc.to_double());
+                          }),
+          bench::time_min(trials, [&] {
+            HallbergFixed<N, M> acc;
+            acc.accumulate(xs);
+            bench::sink(acc.to_double());
+          })};
 }
 
 }  // namespace
@@ -58,19 +80,20 @@ int main(int argc, char** argv) {
                 "wide-range reals");
 
   util::TablePrinter table({"n", "Hallberg(N,M)", "t_HP(8,4) s", "t_Hallberg s",
-                            "speedup Hb/HP"});
-  double cp_per_block = 0;
-  double cb_per_block = 0;
+                            "speedup Hb/HP", "t_HP span s",
+                            "t_Hallberg span s", "speedup span"});
+  Times cp_per_block;
+  Times cb_per_block;
   std::vector<std::int64_t> ns;
   for (std::int64_t n = 128; n <= nmax; n *= 4) ns.push_back(n);
   if (ns.empty() || ns.back() != nmax) ns.push_back(nmax);
   for (const std::int64_t n : ns) {
     const auto xs =
         workload::wide_range_set(static_cast<std::size_t>(n), seed + static_cast<std::uint64_t>(n));
-    const double t_hp = time_hp(xs, trials);
+    const Times t_hp = time_hp(xs, trials);
 
     // Table 2 parameter step: pick the M whose carry buffer covers n.
-    double t_hb = 0;
+    Times t_hb;
     const char* params = nullptr;
     if (n <= 2047) {
       t_hb = time_hallberg<10, 52>(xs, trials);
@@ -85,26 +108,38 @@ int main(int argc, char** argv) {
     table.begin_row();
     table.add_int(n);
     table.add_cell(params);
-    table.add_num(t_hp, 4);
-    table.add_num(t_hb, 4);
-    table.add_num(t_hb / t_hp, 4);
+    table.add_num(t_hp.scalar, 4);
+    table.add_num(t_hb.scalar, 4);
+    table.add_num(t_hb.scalar / t_hp.scalar, 4);
+    table.add_num(t_hp.span, 4);
+    table.add_num(t_hb.span, 4);
+    table.add_num(t_hb.span / t_hp.span, 4);
     // Per-64-bit-block unit costs from the largest run (eq. 3).
-    cp_per_block = t_hp / (static_cast<double>(n) * 8.0);
-    cb_per_block = t_hb / (static_cast<double>(n) *
-                           (n <= 2047 ? 10.0 : (n <= (1 << 20) - 1 ? 12.0 : 14.0)));
+    const double hp_blocks = static_cast<double>(n) * 8.0;
+    const double hb_blocks =
+        static_cast<double>(n) *
+        (n <= 2047 ? 10.0 : (n <= (1 << 20) - 1 ? 12.0 : 14.0));
+    cp_per_block = {t_hp.scalar / hp_blocks, t_hp.span / hp_blocks};
+    cb_per_block = {t_hb.scalar / hb_blocks, t_hb.span / hb_blocks};
   }
   bench::emit_table(table, args);
 
   std::printf("\n--- §IV.A operation-count analysis ---\n");
-  std::printf("measured per-block unit costs (largest n): c_p = %.3e s, "
-              "c_b = %.3e s, ratio c_b/c_p = %.3f\n",
-              cp_per_block, cb_per_block, cb_per_block / cp_per_block);
-  for (const int m : {52, 43, 37}) {
-    std::printf("eq.(6) lower bound at M=%d: S >= (c_b/c_p) * 32/%d = %.3f\n",
-                m, m, (cb_per_block / cp_per_block) * 32.0 / m);
-  }
+  const auto analysis = [](const char* path, double cp, double cb) {
+    std::printf("%s: measured per-block unit costs (largest n): c_p = %.3e s, "
+                "c_b = %.3e s, ratio c_b/c_p = %.3f\n",
+                path, cp, cb, cb / cp);
+    for (const int m : {52, 43, 37}) {
+      std::printf("  eq.(6) lower bound at M=%d: S >= (c_b/c_p) * 32/%d = %.3f\n",
+                  m, m, (cb / cp) * 32.0 / m);
+    }
+  };
+  analysis("scalar (acc += x / add(x))", cp_per_block.scalar,
+           cb_per_block.scalar);
+  analysis("span (accumulate(xs))", cp_per_block.span, cb_per_block.span);
   std::printf(
-      "\nexpected shape: speedup < 1 for small n (Hallberg wins), crossing "
-      "~1 near 1M and rising as M drops (eq. 6: S grows as M shrinks).\n");
+      "\nexpected shape (scalar, the paper's comparison): speedup < 1 for "
+      "small n (Hallberg wins), crossing ~1 near 1M and rising as M drops "
+      "(eq. 6: S grows as M shrinks).\n");
   return bench::finish(args);
 }

@@ -8,10 +8,15 @@
 // are MODELED (max per-thread busy + merge; DESIGN.md §2) next to the raw
 // measured wallclock.
 //
+// Hallberg is timed on two paths: span (HallbergSum, the integer-scatter
+// deposit) and scalar (the paper's per-summand add() loop).
+//
 // Flags: --n (default 4M; paper 32M), --trials (default 3), --seed,
 //        --maxp (default 8).
 #include <cstdio>
 #include <iostream>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "backends/accumulators.hpp"
@@ -24,6 +29,20 @@
 namespace {
 
 using namespace hpsum;
+
+/// Hallberg(10,38) through the paper's per-summand add() loop: the scalar
+/// column beside HallbergSum's span deposit.
+struct HallbergScalarSum {
+  HallbergFixed<10, 38> hb;
+
+  void accumulate(double x) noexcept { hb.add(x); }
+  void accumulate(std::span<const double> xs) noexcept {
+    for (const double x : xs) hb.add(x);
+  }
+  void merge(const HallbergScalarSum& o) noexcept { hb.add(o.hb); }
+  [[nodiscard]] double result() const noexcept { return hb.to_double(); }
+  [[nodiscard]] static std::string name() { return "Hallberg(10,38) scalar"; }
+};
 
 template <class Acc>
 std::vector<backends::ScalingPoint> sweep(const std::vector<double>& xs,
@@ -65,10 +84,12 @@ int main(int argc, char** argv) {
   const auto dbl = sweep<backends::DoubleSum>(xs, maxp, trials);
   const auto hp = sweep<backends::HpSum<6, 3>>(xs, maxp, trials);
   const auto hb = sweep<backends::HallbergSum<10, 38>>(xs, maxp, trials);
+  const auto hb_scalar = sweep<HallbergScalarSum>(xs, maxp, trials);
 
   util::TablePrinter table({"threads", "t_double(model)", "eff_d",
                             "t_HP(model)", "eff_HP", "t_Hall(model)",
-                            "eff_Hall", "t_HP(measured)"});
+                            "eff_Hall", "t_Hall scalar(model)",
+                            "eff_Hall scalar", "t_HP(measured)"});
   for (std::size_t i = 0; i < dbl.size(); ++i) {
     table.begin_row();
     table.add_int(dbl[i].pes);
@@ -78,15 +99,18 @@ int main(int argc, char** argv) {
     table.add_num(backends::efficiency(hp[0], hp[i]), 3);
     table.add_num(hb[i].modeled_wall, 4);
     table.add_num(backends::efficiency(hb[0], hb[i]), 3);
+    table.add_num(hb_scalar[i].modeled_wall, 4);
+    table.add_num(backends::efficiency(hb_scalar[0], hb_scalar[i]), 3);
     table.add_num(hp[i].measured_wall, 4);
   }
   bench::emit_table(table, args);
 
   std::printf("\nHP/double single-thread cost ratio: %.1fx (paper: 37-38x)\n",
               hp[0].modeled_wall / dbl[0].modeled_wall);
-  std::printf("Hallberg/HP single-thread ratio:    %.2fx (paper: ~1, same "
-              "precision class)\n",
-              hb[0].modeled_wall / hp[0].modeled_wall);
+  std::printf("Hallberg/HP single-thread ratio:    %.2fx span, %.2fx scalar "
+              "(paper: ~1, same precision class)\n",
+              hb[0].modeled_wall / hp[0].modeled_wall,
+              hb_scalar[0].modeled_wall / hp[0].modeled_wall);
   std::printf(
       "\nsums (order-invariance check): HP identical at every p: %s\n",
       [&] {

@@ -139,7 +139,7 @@ Point point_hallberg(const std::vector<double>& xs, int ranks,
       algo, opts,
       [p](std::span<const double> slice) {
         Hallberg v(p);
-        for (const double x : slice) v.add(x);
+        v.accumulate(slice);
         std::vector<std::byte> bytes(v.limbs().size() * sizeof(std::int64_t));
         std::memcpy(bytes.data(), v.limbs().data(), bytes.size());
         return bytes;

@@ -12,7 +12,8 @@
 //   Acc::name();            // display label
 //
 // The span overload is semantically the element-at-a-time loop (for HP it
-// is the bit-identical carry-deferred block fast path); the drivers hand
+// is the bit-identical carry-deferred block fast path, for Hallberg the
+// bit-identical integer-scatter deposit); the drivers hand
 // each PE's whole slice to it so every method accumulates through its best
 // available path.
 #pragma once
@@ -67,9 +68,7 @@ struct HallbergSum {
   HallbergFixed<N, M> hb;
 
   void accumulate(double x) noexcept { hb.add(x); }
-  void accumulate(std::span<const double> xs) noexcept {
-    for (const double x : xs) hb.add(x);
-  }
+  void accumulate(std::span<const double> xs) noexcept { hb.accumulate(xs); }
   void merge(const HallbergSum& o) noexcept { hb.add(o.hb); }
   [[nodiscard]] double result() const noexcept { return hb.to_double(); }
   [[nodiscard]] static std::string name() {

@@ -61,6 +61,11 @@ std::vector<HpDyn> unframe_checkpoint(std::span<const std::byte> bytes) {
     throw std::invalid_argument("engine checkpoint: unsupported version");
   }
   const std::uint32_t count = get_u32(bytes.subspan(4));
+  // Each frame carries at least its 4-byte size field: check the untrusted
+  // count against the input before it sizes an allocation.
+  if (count > (bytes.size() - kHeaderSize) / 4) {
+    throw std::invalid_argument("engine checkpoint: frame count exceeds input");
+  }
   std::vector<HpDyn> frames;
   frames.reserve(count);
   std::size_t off = kHeaderSize;

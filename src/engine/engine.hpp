@@ -438,7 +438,6 @@ class ShardSet {
     if (has_retired_) total.merge(retired_);
     for (const auto& slot : slots_) total.merge(slot->acc);
     reset_locked();
-    bump_snapshot_counters_locked();
     return total;
   }
 
@@ -560,10 +559,6 @@ class ShardSet {
     }
     retired_ = proto_;
     has_retired_ = false;
-  }
-
-  void bump_snapshot_counters_locked() const noexcept {
-    trace::count(trace::Counter::kEngineSnapshots);
   }
 
   Acc proto_;

@@ -18,15 +18,28 @@
 //
 // HallbergFixed<N,M> is the compile-time-format variant used in hot bench
 // loops (mirroring HpFixed); Hallberg is the runtime-format variant.
+//
+// Two deposit paths, bit-identical in limbs and in what they reject:
+//   - add(double) is the paper's loop (eq. 1, §II.B): per limb, from the
+//     top down, one FP multiply + truncate strips an M-bit slice and a
+//     second multiply + subtract removes it (detail::hallberg_accumulate).
+//     It is Fig 4's scalar column and the independent oracle the span path
+//     is tested against.
+//   - accumulate(span) is the integer-scatter span path
+//     (detail::hallberg_scatter): each mantissa goes straight into the
+//     1 + ceil(52/M) limbs it can touch with integer shifts and masks.
+//     docs/KERNELS.md ("Hallberg deposit") gives the exactness argument.
 #pragma once
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/hp_convert.hpp"  // detail::pow2
 #include "core/hp_dyn.hpp"
+#include "core/hp_kernel.hpp"  // detail::pow2, f64_bits, f64_biased_exp
 
 namespace hpsum {
 
@@ -56,6 +69,59 @@ inline bool hallberg_accumulate(double r, std::int64_t* a, int n,
     r -= static_cast<double>(t) * w[i];
   }
   return true;
+}
+
+/// Most limbs one mantissa can touch: 1 + ceil(52/M), largest at M = 1.
+inline constexpr int kHallbergMaxSlices = 53;
+
+/// The integer-scatter span deposit: limbs AND the rejected count equal
+/// calling hallberg_accumulate on every element in order, but each 53-bit
+/// mantissa lands straight in the 1 + ceil(52/M) limbs it can touch via
+/// integer shifts and masks — no per-limb FP strip. Returns how many values
+/// were rejected (non-finite or |r| >= 2^(N*M/2)); they deposit nothing.
+///
+/// The deposits go into a working copy padded by kHallbergMaxSlices limbs,
+/// so every slice is added unconditionally; the range check keeps the
+/// mantissa below limb n, so the pad only ever receives zeros. The copy is
+/// written back once per span. docs/KERNELS.md ("Hallberg deposit") holds
+/// the bit-identity argument.
+inline std::size_t hallberg_scatter(std::span<const double> xs,
+                                    std::int64_t* a, int n,
+                                    int m) noexcept {
+  const int half = n * m / 2;  // range_max = 2^half; limb 0 weighs 2^-half
+  const int slices = 1 + (52 + m - 1) / m;
+  const std::uint64_t mask = (std::uint64_t{1} << m) - 1;
+  std::int64_t work[kMaxLimbs + kHallbergMaxSlices] = {};
+  for (int i = 0; i < n; ++i) work[i] = a[i];
+  std::size_t rejected = 0;
+  for (const double r : xs) {
+    const std::uint64_t bits = f64_bits(r);
+    const int be = f64_biased_exp(r);
+    // |r| < 2^half  <=>  be < 1023 + half; half <= 960 also rejects the
+    // Inf/NaN exponent 0x7FF.
+    const bool ok = be < 1023 + half;
+    rejected += ok ? 0 : 1;
+    std::uint64_t m53 = bits & ((std::uint64_t{1} << 52) - 1);
+    if (be != 0) m53 |= std::uint64_t{1} << 52;
+    // Bit index of the mantissa lsb above limb 0's unit weight; bits below
+    // it truncate toward zero, rejected values deposit zero at limb 0.
+    const int lsb = (be != 0 ? be : 1) - 1075 + half;
+    const int drop = lsb < 0 ? (-lsb < 63 ? -lsb : 63) : 0;
+    m53 = ok ? m53 >> drop : 0;
+    const int p = ok && lsb > 0 ? lsb : 0;
+    __extension__ using U128 = unsigned __int128;
+    const U128 v = static_cast<U128>(m53) << (p % m);
+    // -1 when r < 0: (s ^ neg) - neg is then -s (no overflow, s < 2^62).
+    const std::int64_t neg = -static_cast<std::int64_t>(bits >> 63);
+    std::int64_t* dst = work + p / m;
+    for (int j = 0; j < slices; ++j) {
+      const auto s = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(v >> (j * m)) & mask);
+      dst[j] = wrap_add_i64(dst[j], (s ^ neg) - neg);
+    }
+  }
+  for (int i = 0; i < n; ++i) a[i] = work[i];
+  return rejected;
 }
 
 /// Carry propagation to canonical form: every limb except the top lands in
@@ -137,6 +203,13 @@ class HallbergFixed {
                                        kWinv.data(), kRangeMax);
   }
 
+  /// Accumulates a block through the integer-scatter deposit: limbs
+  /// bit-identical to calling add() on each element in order. Returns how
+  /// many values add() would have rejected.
+  std::size_t accumulate(std::span<const double> xs) noexcept {
+    return detail::hallberg_scatter(xs, a_.data(), N, M);
+  }
+
   /// Merges another partial sum (N integer adds).
   void add(const HallbergFixed& other) noexcept {
     for (int i = 0; i < N; ++i) {
@@ -190,6 +263,12 @@ class Hallberg {
   bool add(double r) noexcept {
     return detail::hallberg_accumulate(r, a_.data(), p_.n, w_.data(),
                                        winv_.data(), range_max_);
+  }
+
+  /// Accumulates a block (integer scatter; see HallbergFixed::accumulate).
+  /// Returns how many values add() would have rejected.
+  std::size_t accumulate(std::span<const double> xs) noexcept {
+    return detail::hallberg_scatter(xs, a_.data(), p_.n, p_.m);
   }
 
   /// Accumulates with a runtime headroom guard: when any limb magnitude

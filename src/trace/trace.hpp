@@ -124,7 +124,7 @@ enum class Counter : std::uint16_t {
   kPhisimBytesUploaded,
   kPhisimBusyNs,
   // engine — sharded deposit sinks (src/engine ShardSet).
-  kEngineSnapshots,        ///< snapshot()/drain()/checkpoint() merge passes
+  kEngineSnapshots,        ///< snapshot()/checkpoint() seqlock collect passes
   kEngineSnapshotRetries,  ///< torn-shard seqlock re-reads during merges
   kEngineShardsRegistered, ///< shard slots created (fixed lanes + handles)
   kEngineShardsRetired,    ///< dynamic shards folded into the retired total

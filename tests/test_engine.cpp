@@ -261,6 +261,15 @@ TEST(Engine, MalformedCheckpointsAreRejected) {
   EXPECT_THROW(narrow.restore(ckpt), std::invalid_argument);
 }
 
+TEST(Engine, HugeFrameCountIsRejectedBeforeAllocating) {
+  // A bare header claiming 0xFFFFFFFF frames: the count must be checked
+  // against the input, not handed to reserve() (which threw bad_alloc).
+  const std::vector<std::byte> header = {
+      std::byte{'H'},  std::byte{'E'},  std::byte{1},    std::byte{0},
+      std::byte{0xFF}, std::byte{0xFF}, std::byte{0xFF}, std::byte{0xFF}};
+  EXPECT_THROW((void)engine::unframe_checkpoint(header), std::invalid_argument);
+}
+
 TEST(Engine, DrainResetsForReuse) {
   const HpConfig cfg{6, 3};
   ShardSet<DynSum> sink(2, DynSum(cfg));
@@ -318,6 +327,16 @@ TEST(Engine, TraceCountersTrackLifecycle) {
   EXPECT_GE(d.value(trace::Counter::kEngineShardsRetired), 1u);
   EXPECT_GE(d.value(trace::Counter::kEngineSnapshots), 1u);
   EXPECT_GE(d.hist(trace::Hist::kEngineSnapshotLatencyUs).count, 1u);
+}
+
+TEST(Engine, DrainIsNotCountedAsSnapshot) {
+  if (!trace::enabled()) GTEST_SKIP() << "trace compiled out";
+  ShardSet<backends::DoubleSum> sink(2);
+  sink.shard(0).deposit(1.0);
+  const auto before = trace::snapshot();
+  (void)sink.drain();
+  const auto d = trace::snapshot().delta_since(before);
+  EXPECT_EQ(d.value(trace::Counter::kEngineSnapshots), 0u);
 }
 
 }  // namespace

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/reduce.hpp"
+#include "util/prng.hpp"
 #include "workload/workload.hpp"
 
 namespace hpsum {
@@ -221,6 +227,152 @@ TEST(Hallberg, ClearResets) {
   acc.clear();
   EXPECT_EQ(acc.to_double(), 0.0);
   EXPECT_EQ(acc.normalizations(), 0);
+}
+
+// --- accumulate(span): the integer-scatter deposit vs the add() loop -------
+
+/// Every edge the branchless scatter must agree with the FP strip loop on,
+/// plus random bit patterns (any exponent, NaN payloads, subnormals) and
+/// random in-range values.
+std::vector<double> scatter_corpus(HallbergParams p, std::uint64_t seed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double rmax = p.range_max();
+  const int half = p.n * p.m / 2;
+  const double lsb = std::ldexp(1.0, -half);
+  std::vector<double> xs = {
+      0.0, -0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+      rmax, -rmax, std::nextafter(rmax, 0.0), -std::nextafter(rmax, 0.0),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),  // smallest normal
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),  // largest subnormal
+      lsb, -lsb,                   // exactly the lsb weight
+      lsb / 2, -lsb / 2,           // entirely below the lsb: truncates to 0
+      lsb * 1.5, -lsb * 1.5,       // partly below the lsb
+      std::ldexp(1.0 - 0x1p-53, -half + 53),  // 53 bits, lowest exactly at lsb
+      std::ldexp(1.0 - 0x1p-53, -half + 20),  // 33 bits above, 20 truncated
+  };
+  util::Xoshiro256ss rng(seed);
+  // Mantissas straddling each limb boundary (limb i weighs 2^(i*M - half)).
+  for (int i = 0; i <= p.n; ++i) {
+    for (const int d : {-60, -53, -27, -1, 0, 1}) {
+      const double v = std::ldexp(1.0 + rng.uniform01(), i * p.m - half + d);
+      if (std::isfinite(v)) {
+        xs.push_back(v);
+        xs.push_back(-v);
+      }
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    xs.push_back(std::bit_cast<double>(rng.next()));
+    const int e = static_cast<int>(rng.bounded(
+                      static_cast<std::uint64_t>(2 * half + 80))) -
+                  half - 80;
+    xs.push_back(std::ldexp(rng.uniform01() - 0.5, e + 1));
+  }
+  return xs;
+}
+
+/// The scalar oracle: the paper's add() loop, counting rejections.
+template <class Acc>
+std::size_t add_loop(Acc& acc, std::span<const double> xs) {
+  std::size_t rejected = 0;
+  for (const double x : xs) rejected += acc.add(x) ? 0 : 1;
+  return rejected;
+}
+
+template <int N, int M>
+void expect_fixed_span_matches_add(std::uint64_t seed) {
+  SCOPED_TRACE("HallbergFixed<" + std::to_string(N) + "," + std::to_string(M) +
+               ">");
+  const auto xs = scatter_corpus(HallbergFixed<N, M>::params(), seed);
+  HallbergFixed<N, M> ref;
+  const std::size_t rejected = add_loop(ref, xs);
+  EXPECT_GT(rejected, 0u);  // the corpus does exercise the range check
+  HallbergFixed<N, M> got;
+  EXPECT_EQ(got.accumulate(xs), rejected);
+  EXPECT_EQ(got.limbs(), ref.limbs());
+  // One value at a time, so a mismatch names its summand.
+  for (const double x : xs) {
+    HallbergFixed<N, M> a;
+    HallbergFixed<N, M> b;
+    ASSERT_EQ(a.add(x) ? 0u : 1u, b.accumulate(std::span(&x, 1))) << x;
+    ASSERT_EQ(a.limbs(), b.limbs()) << x;
+  }
+}
+
+TEST(HallbergSpan, FixedMatchesAddLoop) {
+  expect_fixed_span_matches_add<10, 52>(1);  // Table 2 formats
+  expect_fixed_span_matches_add<12, 43>(2);
+  expect_fixed_span_matches_add<14, 37>(3);
+  expect_fixed_span_matches_add<10, 38>(4);  // the benchmark format
+  expect_fixed_span_matches_add<32, 1>(5);   // 53 slices per summand
+  expect_fixed_span_matches_add<20, 13>(6);
+  expect_fixed_span_matches_add<12, 26>(7);  // M divides 52
+  expect_fixed_span_matches_add<11, 27>(8);  // odd N*M
+  expect_fixed_span_matches_add<30, 62>(9);  // widest payload, 1 safe add
+}
+
+TEST(HallbergSpan, RuntimeMatchesAddLoop) {
+  for (const HallbergParams p :
+       {HallbergParams{10, 52}, HallbergParams{12, 43}, HallbergParams{14, 37},
+        HallbergParams{10, 38}, HallbergParams{32, 1}, HallbergParams{20, 13},
+        HallbergParams{12, 26}, HallbergParams{11, 27},
+        HallbergParams{30, 62}}) {
+    SCOPED_TRACE("N=" + std::to_string(p.n) + " M=" + std::to_string(p.m));
+    const auto xs = scatter_corpus(p, 40 + static_cast<std::uint64_t>(p.m));
+    Hallberg ref(p);
+    const std::size_t rejected = add_loop(ref, xs);
+    Hallberg got(p);
+    EXPECT_EQ(got.accumulate(xs), rejected);
+    EXPECT_EQ(got.limbs(), ref.limbs());
+    for (const double x : xs) {
+      Hallberg a(p);
+      Hallberg b(p);
+      ASSERT_EQ(a.add(x) ? 0u : 1u, b.accumulate(std::span(&x, 1))) << x;
+      ASSERT_EQ(a.limbs(), b.limbs()) << x;
+    }
+  }
+}
+
+TEST(HallbergSpan, ChunkSplitsAreInvisible) {
+  const HallbergParams p{10, 38};
+  const auto xs = scatter_corpus(p, 77);
+  Hallberg ref(p);
+  const std::size_t rejected = add_loop(ref, xs);
+  util::Xoshiro256ss rng(78);
+  for (int trial = 0; trial < 20; ++trial) {
+    Hallberg got(p);
+    std::size_t got_rejected = 0;
+    std::span<const double> rest(xs);
+    while (!rest.empty()) {
+      const std::size_t len = std::min<std::size_t>(
+          rest.size(), rng.bounded(trial < 10 ? 8 : 600));  // incl. empty
+      got_rejected += got.accumulate(rest.first(len));
+      rest = rest.subspan(len);
+    }
+    EXPECT_EQ(got_rejected, rejected);
+    EXPECT_EQ(got.limbs(), ref.limbs()) << "trial " << trial;
+  }
+}
+
+TEST(HallbergSpan, WrapPastMaxSummandsIsIdentical) {
+  // The paper's catastrophic overflow past max_summands(): the span path
+  // must fail the same way, limb for limb.
+  const HallbergParams p{4, 61};  // 3 safe adds only
+  const std::vector<double> xs(100000, 0.75);
+  Hallberg ref(p);
+  EXPECT_EQ(add_loop(ref, xs), 0u);
+  Hallberg got(p);
+  EXPECT_EQ(got.accumulate(xs), 0u);
+  EXPECT_EQ(got.limbs(), ref.limbs());
+  EXPECT_NE(got.to_double(), 0.75 * 100000);
+
+  HallbergFixed<4, 61> fixed_ref;
+  HallbergFixed<4, 61> fixed_got;
+  add_loop(fixed_ref, xs);
+  fixed_got.accumulate(xs);
+  EXPECT_EQ(fixed_got.limbs(), fixed_ref.limbs());
 }
 
 }  // namespace
