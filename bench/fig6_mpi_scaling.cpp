@@ -30,7 +30,6 @@
 #include "backends/scaling.hpp"
 #include "common.hpp"
 #include "core/reduce.hpp"
-#include "engine/engine.hpp"
 #include "hallberg/hallberg.hpp"
 #include "mpisim/hp_ops.hpp"
 #include "mpisim/mpisim.hpp"
@@ -116,9 +115,7 @@ Point point_hp(const std::vector<double>& xs, int ranks,
       xs, ranks, mpisim::hp_datatype(cfg), mpisim::hp_sum_op(cfg, wire), algo,
       opts,
       [cfg](std::span<const double> slice) {
-        // Per-rank local phase through the engine (1-lane DynSum sink);
-        // bit-identical limbs+status to reduce_hp(slice, cfg).
-        const HpDyn v = engine::local_reduce(slice, cfg);
+        const HpDyn v = reduce_hp(slice, cfg);
         std::vector<std::byte> bytes(v.byte_size());
         v.to_bytes(bytes.data());
         return bytes;

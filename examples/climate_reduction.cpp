@@ -18,7 +18,6 @@
 
 #include "backends/scaling.hpp"
 #include "core/reduce.hpp"
-#include "engine/engine.hpp"
 #include "mpisim/hp_ops.hpp"
 #include "mpisim/mpisim.hpp"
 #include "util/prng.hpp"
@@ -95,10 +94,8 @@ int main() {
        {mpisim::ReduceAlgo::kBinomialTree, mpisim::ReduceAlgo::kLinear}) {
     mpisim::run(16, [&](mpisim::Comm& comm) {
       const auto slices = backends::partition(flux, comm.size());
-      // Per-rank local phase through the engine's 1-lane sink —
-      // bit-identical to the former element-at-a-time loop.
-      const HpDyn local = engine::local_reduce(
-          slices[static_cast<std::size_t>(comm.rank())], cfg);
+      const HpDyn local =
+          reduce_hp(slices[static_cast<std::size_t>(comm.rank())], cfg);
       const HpDyn total = mpisim::reduce_hp_value(comm, local, 0, algo);
       if (comm.rank() == 0) {
         (algo == mpisim::ReduceAlgo::kBinomialTree ? tree_result

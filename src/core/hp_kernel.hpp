@@ -460,8 +460,9 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
 /// bit-for-bit, limbs and status) identical to calling block_add per
 /// element.
 ///
-/// When the build enables it (HPSUM_SIMD != OFF), runtime calls dispatch to
-/// the vectorized batch deposit (core/hp_kernel_simd.hpp), which is fuzzed
+/// When the build has the AVX2 TU (HPSUM_SIMD_DISPATCH), runtime calls
+/// dispatch to the vectorized batch deposit (core/hp_kernel_simd.hpp),
+/// which is fuzzed
 /// bit-identical — limbs and sticky status — to the scalar loop below.
 /// Constant evaluation always takes the scalar loop: the SIMD path is not
 /// constexpr, and the is_constant_evaluated() guard keeps this facade

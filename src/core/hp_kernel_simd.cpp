@@ -1,29 +1,18 @@
-// hp_kernel_simd.cpp — the GENERIC lane decomposer (GCC vector extensions)
-// and the runtime dispatch behind kernel::simd::accumulate. The compiler
-// lowers the 4-wide u64 lanes to the baseline ISA (SSE2 on x86-64) or
-// scalarizes them; either way the lane math is branch-free and identical
-// to the AVX2 translation unit's. See hp_kernel_simd_deposit.hpp for the
-// shared driver and the bit-identity argument.
+// hp_kernel_simd.cpp — the runtime dispatch behind kernel::simd::accumulate:
+// the AVX2 decomposer (hp_kernel_simd_avx2.cpp) when the build has it and
+// the CPU reports AVX2, else the plain scalar block_add loop. See
+// hp_kernel_simd_deposit.hpp for the batched driver and the bit-identity
+// argument.
 
 #include "core/hp_kernel_simd.hpp"
 
-#include <cstring>
-
 #include "core/hp_kernel.hpp"
-#include "core/hp_kernel_simd_deposit.hpp"
-
-#ifndef HPSUM_SIMD_HAVE_AVX2
-#define HPSUM_SIMD_HAVE_AVX2 0
-#endif
-#ifndef HPSUM_SIMD_FORCE_AVX2
-#define HPSUM_SIMD_FORCE_AVX2 0
-#endif
 
 namespace hpsum::kernel::simd {
 
 namespace detail {
 
-#if HPSUM_SIMD_HAVE_AVX2
+#if HPSUM_SIMD_DISPATCH
 // Defined in hp_kernel_simd_avx2.cpp (compiled with -mavx2).
 [[nodiscard]] HpStatus accumulate_avx2(util::Limb* a, U128* pos, U128* neg,
                                        int n, int k, int& bound_exp,
@@ -33,100 +22,12 @@ namespace detail {
 
 namespace {
 
-typedef std::uint64_t u64x4 __attribute__((vector_size(32)));
-typedef std::int64_t i64x4 __attribute__((vector_size(32)));
-
-[[nodiscard]] constexpr u64x4 splat_u(std::uint64_t v) noexcept {
-  return u64x4{v, v, v, v};
-}
-[[nodiscard]] constexpr i64x4 splat_s(std::int64_t v) noexcept {
-  return i64x4{v, v, v, v};
-}
-
-/// Decomposes kWidth doubles with 4-wide vector-extension lanes: biased
-/// exponent extract, in-window test, mantissa split into the lo/hi limb
-/// words, branch-free sign split into the four plane streams. Slow lanes
-/// produce garbage words (never consumed: the driver punts the whole
-/// batch); `pmax` alone is exact for ALL lanes because p = be + pbias
-/// stays within [-1075, 1036+64k] as a signed value.
-struct GenericDecompose {
-  void operator()(const double* x, const Window& w,
-                  LaneBatch& b) const noexcept {
-    std::int64_t pa[kWidth];
-    u64x4 okacc = splat_u(~std::uint64_t{0});
-    const i64x4 belo = splat_s(w.be_lo);
-    const i64x4 behi = splat_s(w.be_hi);
-    const i64x4 pbias = splat_s(w.pbias);
-    const u64x4 mask52 = splat_u(kMask52);
-    const u64x4 bit52 = splat_u(kBit52);
-    const u64x4 c63 = splat_u(63);
-    for (int h = 0; h < kWidth; h += 4) {
-      u64x4 bits;
-      std::memcpy(&bits, x + h, sizeof bits);
-      const i64x4 be =
-          reinterpret_cast<i64x4>((bits >> 52) & splat_u(0x7FF));
-      const i64x4 ok = (be >= belo) & (be <= behi);
-      const u64x4 m53 = (bits & mask52) | bit52;
-      const i64x4 p = be + pbias;
-      const u64x4 off = reinterpret_cast<u64x4>(p) & c63;
-      const u64x4 lov = m53 << off;
-      const u64x4 hiv = (m53 >> 1) >> (c63 - off);
-      // All-ones for negative lanes (signed shift of the sign bit).
-      const u64x4 negm =
-          reinterpret_cast<u64x4>(reinterpret_cast<i64x4>(bits) >> 63);
-      const u64x4 lopv = lov & ~negm;
-      const u64x4 lonv = lov & negm;
-      const u64x4 hipv = hiv & ~negm;
-      const u64x4 hinv = hiv & negm;
-      const u64x4 lqv = reinterpret_cast<u64x4>(p) >> 6;
-      std::memcpy(b.lop + h, &lopv, sizeof lopv);
-      std::memcpy(b.lon + h, &lonv, sizeof lonv);
-      std::memcpy(b.hip + h, &hipv, sizeof hipv);
-      std::memcpy(b.hin + h, &hinv, sizeof hinv);
-      std::memcpy(b.lq + h, &lqv, sizeof lqv);
-      std::memcpy(pa + h, &p, sizeof p);
-      okacc &= reinterpret_cast<u64x4>(ok);
-    }
-    std::uint64_t okw[4];
-    std::memcpy(okw, &okacc, sizeof okacc);
-    b.all_fast = (okw[0] & okw[1] & okw[2] & okw[3]) == ~std::uint64_t{0};
-    std::int64_t pm = pa[0];
-    for (int j = 1; j < kWidth; ++j) pm = pa[j] > pm ? pa[j] : pm;
-    b.pmax = static_cast<int>(pm);
-    bool uniform = true;
-    for (int j = 1; j < kWidth; ++j) uniform &= b.lq[j] == b.lq[0];
-    b.uniform = uniform;
-    if (b.all_fast && uniform) {
-      // Four independent register chains; the driver consumes these as the
-      // batch's plane deltas.
-      U128 pl = 0;
-      U128 nl = 0;
-      U128 ph = 0;
-      U128 nh = 0;
-      for (int j = 0; j < kWidth; ++j) {
-        pl += b.lop[j];
-        nl += b.lon[j];
-        ph += b.hip[j];
-        nh += b.hin[j];
-      }
-      b.sum_lo[0] = pl;
-      b.sum_lo[1] = nl;
-      b.sum_hi[0] = ph;
-      b.sum_hi[1] = nh;
-    }
-  }
-};
-
 [[nodiscard]] Level resolve_level() noexcept {
-#if !HPSUM_SIMD_DISPATCH
-  return Level::kOff;
-#elif HPSUM_SIMD_HAVE_AVX2 && HPSUM_SIMD_FORCE_AVX2
-  return Level::kAvx2;
-#elif HPSUM_SIMD_HAVE_AVX2
+#if HPSUM_SIMD_DISPATCH
   __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kGeneric;
+  return __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kOff;
 #else
-  return Level::kGeneric;
+  return Level::kOff;
 #endif
 }
 
@@ -144,7 +45,6 @@ Level active_level() noexcept { return detail::g_level; }
 const char* level_name(Level level) noexcept {
   switch (level) {
     case Level::kOff: return "off";
-    case Level::kGeneric: return "generic";
     case Level::kAvx2: return "avx2";
   }
   return "unknown";
@@ -153,15 +53,11 @@ const char* level_name(Level level) noexcept {
 HpStatus accumulate(util::Limb* a, U128* pos, U128* neg, int n, int k,
                     int& bound_exp, int& pending,
                     std::span<const double> xs) noexcept {
-#if HPSUM_SIMD_HAVE_AVX2
+#if HPSUM_SIMD_DISPATCH
   if (detail::g_level == Level::kAvx2) {
     return detail::accumulate_avx2(a, pos, neg, n, k, bound_exp, pending, xs);
   }
 #endif
-  if (detail::g_level == Level::kGeneric) {
-    return detail::accumulate_batches(a, pos, neg, n, k, bound_exp, pending,
-                                      xs, detail::GenericDecompose{});
-  }
   // kOff (or pre-init): the plain scalar loop, so direct callers — the
   // differential tests — stay valid in every configuration.
   HpStatus st = HpStatus::kOk;

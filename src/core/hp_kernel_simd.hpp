@@ -8,17 +8,15 @@
 // positive/negative carry-save planes, instead of paying the scalar
 // decompose's branch tree once per summand.
 //
-// Implementations, selected at configure time (-DHPSUM_SIMD=...):
+// Levels (-DHPSUM_SIMD=AUTO|OFF at configure time, then the CPU):
 //
-//   AVX2     — x86 intrinsics (hp_kernel_simd_avx2.cpp, compiled -mavx2).
-//   GENERIC  — GCC vector extensions (hp_kernel_simd.cpp); the compiler
-//              lowers the lanes to whatever the baseline ISA offers, or
-//              scalarizes them — either way the algorithm is identical.
-//   AUTO     — compile both (when the compiler supports -mavx2) and pick
-//              AVX2 at runtime iff the CPU reports it; GENERIC otherwise.
-//   OFF      — kernel::block_accumulate keeps the pure-scalar block_add
-//              loop; this translation unit still builds so active_level()
-//              stays linkable (it reports kOff).
+//   AVX2 — x86 intrinsics (hp_kernel_simd_avx2.cpp, compiled -mavx2).
+//          AUTO builds that TU when the compiler supports -mavx2 and pick
+//          it at runtime iff the CPU reports AVX2.
+//   OFF  — kernel::block_accumulate keeps the pure-scalar block_add loop:
+//          on HPSUM_SIMD=OFF builds, and on AUTO builds running on a CPU
+//          without AVX2. hp_kernel_simd.cpp still builds so active_level()
+//          stays linkable (it reports kOff).
 //
 // Bit-identity argument (docs/KERNELS.md has the long form): a batch is
 // vector-deposited only when every lane is a NORMAL double whose mantissa
@@ -58,13 +56,13 @@ __extension__ using U128 = unsigned __int128;
 inline constexpr int kWidth = 8;
 
 /// Which implementation block_accumulate dispatches to at runtime.
-enum class Level { kOff, kGeneric, kAvx2 };
+enum class Level { kOff, kAvx2 };
 
-/// The resolved dispatch level: configure-time HPSUM_SIMD combined with
-/// the runtime CPU check (AUTO builds only use AVX2 when the CPU has it).
+/// The resolved dispatch level: kAvx2 iff the build has the AVX2 TU and
+/// the CPU reports AVX2, else kOff.
 [[nodiscard]] Level active_level() noexcept;
 
-/// Stable lowercase name for exports/banners: "off", "generic", "avx2".
+/// Stable lowercase name for exports/banners: "off" or "avx2".
 [[nodiscard]] const char* level_name(Level level) noexcept;
 
 /// The runtime batched deposit behind kernel::block_accumulate. Same

@@ -1,19 +1,13 @@
 // hp_kernel_simd_avx2.cpp — the AVX2 lane decomposer. The ONLY translation
-// unit compiled with -mavx2 (CMake scopes the flag to this file), so AVX2
-// instructions can never leak into code that runs before the dispatcher's
-// CPU check. Same lane math as the GENERIC decomposer in hp_kernel_simd.cpp,
-// spelled in intrinsics: 4 x u64 lanes, two steps per kWidth batch, with
-// the variable 64-bit shifts (vpsllvq/vpsrlvq) that the mantissa split
-// needs and baseline x86-64 lacks. The shared driver and the bit-identity
-// argument live in hp_kernel_simd_deposit.hpp.
+// unit compiled with -mavx2 (CMake scopes the flag to this file and builds
+// it only for HPSUM_SIMD=AUTO), so AVX2 instructions can never leak into
+// code that runs before the dispatcher's CPU check. 4 x u64 lanes, two
+// steps per kWidth batch, with the variable 64-bit shifts
+// (vpsllvq/vpsrlvq) that the mantissa split needs and baseline x86-64
+// lacks. The batched driver and the bit-identity argument live in
+// hp_kernel_simd_deposit.hpp.
 
 #include "core/hp_kernel_simd.hpp"
-
-#ifndef HPSUM_SIMD_HAVE_AVX2
-#define HPSUM_SIMD_HAVE_AVX2 0
-#endif
-
-#if HPSUM_SIMD_HAVE_AVX2
 
 #include <immintrin.h>
 
@@ -34,7 +28,10 @@ namespace {
   return static_cast<std::uint64_t>(_mm_cvtsi128_si64(t));
 }
 
-/// Intrinsics twin of GenericDecompose. The window test uses strict
+/// Decomposes kWidth doubles: biased exponent extract, in-window test,
+/// mantissa split into the lo/hi limb words, branch-free sign split into
+/// the four plane streams. Slow lanes produce garbage words (never
+/// consumed: the driver punts the whole batch). The window test uses strict
 /// compares on shifted bounds (AVX2 has no 64-bit >=): be >= be_lo becomes
 /// be > be_lo-1, be <= be_hi becomes be_hi+1 > be — all values are small
 /// positive integers, so the +-1 never wraps. pmax, the uniformity test,
@@ -142,5 +139,3 @@ struct Avx2Decompose {
 }
 
 }  // namespace hpsum::kernel::simd::detail
-
-#endif  // HPSUM_SIMD_HAVE_AVX2

@@ -1,13 +1,12 @@
 // hp_kernel_simd_deposit — the ISA-independent half of the vectorized block
 // deposit: the per-batch fast-lane gate, the conservative bound update, and
-// the plane scatter. The two translation units (hp_kernel_simd.cpp with GCC
-// vector extensions, hp_kernel_simd_avx2.cpp with -mavx2 intrinsics) each
-// provide only a lane decomposer; everything that decides WHETHER a batch
+// the plane scatter. hp_kernel_simd_avx2.cpp provides only the lane
+// decomposer (-mavx2 intrinsics); everything that decides WHETHER a batch
 // may be vector-deposited — and therefore everything the bit-identity
-// argument rests on — lives here, once.
+// argument rests on — lives here, apart from the ISA-specific code.
 //
-// Internal header: included only by the hp_kernel_simd*.cpp translation
-// units. Not installed, not part of the kernel facade.
+// Internal header: included only by hp_kernel_simd_avx2.cpp. Not
+// installed, not part of the kernel facade.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +40,9 @@ struct LaneBatch {
   /// sum_lo[s] = sum of the lo words of sign s (0 positive, 1 negative),
   /// sum_hi[s] likewise for the straddle words — exactly what the scalar
   /// loop would add to slots li+1 and li, pre-summed (a kWidth-term sum of
-  /// 64-bit words sits far below the U128 ceiling). The AVX2 decomposer
-  /// computes these in the vector domain; the generic one folds its own
-  /// arrays, so the driver never re-walks the lanes in the hot case.
+  /// 64-bit words sits far below the U128 ceiling). The decomposer
+  /// computes these in the vector domain, so the driver never re-walks the
+  /// lanes in the hot case.
   U128 sum_lo[2];
   U128 sum_hi[2];
   int pmax = 0;               ///< max over lanes of the lsb position p

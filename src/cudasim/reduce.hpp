@@ -11,11 +11,9 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "backends/accumulators.hpp"
 #include "core/hp_fixed.hpp"
 #include "cudasim/cudasim.hpp"
 #include "cudasim/hp_kernels.hpp"
-#include "engine/engine.hpp"
 
 namespace hpsum::cudasim {
 
@@ -55,20 +53,14 @@ template <int N, int K>
       });
   if (stats != nullptr) *stats = ls;
 
-  // Host fold through the engine: absorb each device partial into a
-  // single engine shard in slot order. Merge order matches the historical
-  // `total += part` loop, so limbs stay bit-identical — and while a fold
-  // is in flight the running host total is snapshot-able like every other
-  // engine-routed consumer.
-  engine::ShardSet<backends::HpSum<N, K>> sink(1);
-  auto lane = sink.shard(0);
+  // Host fold: add the device partials in slot order.
+  HpFixed<N, K> total;
   for (int p = 0; p < partials_count; ++p) {
-    backends::HpSum<N, K> part;
-    std::memcpy(part.hp.limbs().data(), &partials[p * N],
+    HpFixed<N, K> part;
+    std::memcpy(part.limbs().data(), &partials[p * N],
                 N * sizeof(std::uint64_t));
-    lane.absorb(part);
+    total += part;
   }
-  HpFixed<N, K> total = sink.drain().hp;
   total.or_status(static_cast<HpStatus>(
       launch_status.load(std::memory_order_relaxed)));
   dev.dfree(partials);

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "core/reduce.hpp"
+
 namespace hpsum::engine {
 namespace {
 
@@ -88,9 +90,7 @@ std::vector<HpDyn> unframe_checkpoint(std::span<const std::byte> bytes) {
 }
 
 HpDyn local_reduce(std::span<const double> xs, HpConfig cfg) {
-  ShardSet<DynSum> sink(1, DynSum(cfg));
-  sink.shard(0).deposit(xs);
-  return sink.drain().hp;
+  return reduce_hp(xs, cfg);
 }
 
 }  // namespace hpsum::engine

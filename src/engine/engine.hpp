@@ -19,8 +19,10 @@
 //     same tear-free discipline as trace::snapshot(), generalized from one
 //     64-bit word to a whole limb image.
 //   - drain()/reset() lifecycle for the classic join-then-merge drivers
-//     (backends::run_threads / run_openmp, rblas::sum_parallel, the
-//     mpisim per-rank local phase, the cudasim/phisim host folds).
+//     (backends::run_threads / run_openmp, rblas::sum_parallel). Code
+//     with one depositor and no concurrent reader — a sequential reduce,
+//     the mpisim per-rank local phase, the cudasim host fold — calls the
+//     accumulator directly instead.
 //   - checkpoint()/restore() over the pinned docs/FORMAT.md canonical
 //     serialization with per-shard framing, so a checkpoint taken on S
 //     shards restores onto any shard count (frames are redistributed
@@ -177,6 +179,9 @@ struct ShardCodec {
   static_assert(std::is_trivially_copyable_v<Acc>,
                 "non-trivially-copyable accumulators need a ShardCodec "
                 "specialization (see ShardCodec<DynSum>)");
+  static_assert((sizeof(Acc) + 7) / 8 <=
+                    static_cast<std::size_t>(kMaxLimbs) + 1,
+                "Shard::publish stages the image in kMaxLimbs + 1 words");
 
   [[nodiscard]] static std::size_t words(const Acc& /*proto*/) noexcept {
     return (sizeof(Acc) + 7) / 8;
@@ -204,7 +209,8 @@ struct ShardCodec {
 };
 
 /// DynSum holds an HpDyn (heap-backed limb vector), so its published image
-/// is the limbs followed by one status word; load() targets an
+/// is the limbs followed by one status word — at most kMaxLimbs + 1 words,
+/// since the HpDyn constructor rejects n > kMaxLimbs. load() targets an
 /// accumulator pre-shaped from the set's prototype.
 template <>
 struct ShardCodec<DynSum> {
@@ -252,8 +258,10 @@ inline constexpr std::size_t kShardAlign = 64;
 ///   - snapshot()/checkpoint(): any thread, any time, writers running.
 ///   - drain()/reset()/restore(): writers quiesced (joined or otherwise
 ///     happens-before ordered), exactly like trace::reset().
-template <class Acc, class Codec = ShardCodec<Acc>>
+template <class Acc>
 class ShardSet {
+  using Codec = ShardCodec<Acc>;
+
   struct alignas(kShardAlign) Slot {
     explicit Slot(const Acc& proto, std::size_t nwords)
         : acc(proto), words(std::make_unique<std::atomic<std::uint64_t>[]>(
@@ -286,40 +294,12 @@ class ShardSet {
       slot_->acc.accumulate(xs);
       publish();
     }
-    /// Merges an externally accumulated partial (the cudasim host fold
-    /// absorbs per-block device partials this way) and publishes.
-    void absorb(const Acc& partial) {
-      slot_->acc.merge(partial);
-      publish();
-    }
-
    private:
     friend class ShardSet;
     friend class Handle;  // friendship does not reach nested classes
     Shard(Slot* slot, std::size_t words) : slot_(slot), words_(words) {}
 
-    void publish() noexcept {
-      Slot& s = *slot_;
-      const std::uint64_t e = s.epoch.load(std::memory_order_relaxed);
-      s.epoch.store(e + 1, std::memory_order_relaxed);
-      publish_fence();
-      std::uint64_t staged[kMaxLimbs + 1];
-      std::uint64_t* heap = nullptr;
-      std::uint64_t* buf = staged;
-      if (words_ > static_cast<std::size_t>(kMaxLimbs) + 1) {
-        // oversized custom Acc: stage on heap
-        heap = new std::uint64_t[words_];
-        buf = heap;
-      }
-      Codec::store(s.acc, buf);
-      for (std::size_t i = 0; i < words_; ++i) {
-        // hplint: allow(memory-order) — kWordStoreOrder IS the explicit
-        // order (relaxed, or release under TSan; see the knobs above)
-        s.words[i].store(buf[i], kWordStoreOrder);
-      }
-      delete[] heap;
-      s.epoch.store(e + 2, std::memory_order_release);
-    }
+    void publish() noexcept { ShardSet::publish(*slot_, words_); }
 
     Slot* slot_;
     std::size_t words_;
@@ -487,7 +467,7 @@ class ShardSet {
     for (std::size_t j = 0; j < frames.size(); ++j) {
       Slot& slot = *slots_[j % lanes_];
       add_dyn(slot.acc, frames[j]);
-      republish_locked(slot);
+      publish(slot, words_per_shard_);
     }
   }
 
@@ -495,7 +475,7 @@ class ShardSet {
   Slot* add_slot_locked() {
     slots_.push_back(std::make_unique<Slot>(proto_, words_per_shard_));
     Slot& slot = *slots_.back();
-    republish_locked(slot);
+    publish(slot, words_per_shard_);
     trace::count(trace::Counter::kEngineShardsRegistered);
     return &slot;
   }
@@ -535,18 +515,19 @@ class ShardSet {
     }
   }
 
-  /// Rewrites a slot's published image from its working accumulator.
-  /// Caller holds the registry mutex and writers are quiesced (or the
-  /// slot is not yet visible to any depositor).
-  void republish_locked(Slot& slot) noexcept {
+  /// Rewrites a slot's published image from its working accumulator: the
+  /// seqlock writer. Runs on the slot's depositor thread, or under the
+  /// registry mutex with writers quiesced (or the slot not yet visible).
+  static void publish(Slot& slot, std::size_t nwords) noexcept {
     const std::uint64_t e = slot.epoch.load(std::memory_order_relaxed);
     slot.epoch.store(e + 1, std::memory_order_relaxed);
     publish_fence();
-    std::vector<std::uint64_t> buf(words_per_shard_);
-    Codec::store(slot.acc, buf.data());
-    for (std::size_t i = 0; i < words_per_shard_; ++i) {
+    // Every codec image fits kMaxLimbs + 1 words (see ShardCodec).
+    std::uint64_t buf[kMaxLimbs + 1];
+    Codec::store(slot.acc, buf);
+    for (std::size_t i = 0; i < nwords; ++i) {
       // hplint: allow(memory-order) — kWordStoreOrder IS the explicit
-      // order (relaxed, or release under TSan)
+      // order (relaxed, or release under TSan; see the knobs above)
       slot.words[i].store(buf[i], kWordStoreOrder);
     }
     slot.epoch.store(e + 2, std::memory_order_release);
@@ -555,7 +536,7 @@ class ShardSet {
   void reset_locked() noexcept {
     for (const auto& slot : slots_) {
       slot->acc = proto_;
-      republish_locked(*slot);
+      publish(*slot, words_per_shard_);
     }
     retired_ = proto_;
     has_retired_ = false;
@@ -570,10 +551,9 @@ class ShardSet {
   std::vector<std::unique_ptr<Slot>> slots_;
 };
 
-/// Engine-routed sequential-reference helper: accumulates `xs` through a
-/// single-lane DynSum set and returns the drained partial. Bit-identical
-/// (limbs + status) to reduce_hp(xs, cfg); this is the per-rank local
-/// phase the mpisim consumers call before entering a collective.
+/// The per-rank local phase of an mpisim reduction: reduce_hp(xs, cfg).
+/// Nothing runs concurrently with it, so it calls the accumulator directly
+/// rather than through a ShardSet.
 [[nodiscard]] HpDyn local_reduce(std::span<const double> xs, HpConfig cfg);
 
 }  // namespace hpsum::engine

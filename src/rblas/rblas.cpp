@@ -7,29 +7,24 @@
 namespace hpsum::rblas {
 
 double sum(std::span<const double> x, HpConfig cfg) {
-  // Engine-routed sequential reference (a 1-lane ShardSet<DynSum>);
-  // bit-identical limbs+status to reduce_hp(x, cfg).
-  return engine::local_reduce(x, cfg).to_double();
+  return reduce_hp(x, cfg).to_double();
 }
 
 double asum(std::span<const double> x, HpConfig cfg) {
-  // Stage |x| values into a small buffer and deposit each block into a
-  // single engine shard, so the chunked staging path flows through the
-  // same sink the parallel drivers use; bit-identical to the
-  // acc += fabs(v) loop (each deposit is the block fast path).
-  engine::ShardSet<engine::DynSum> sink(1, engine::DynSum(cfg));
-  auto lane = sink.shard(0);
+  // Stage |x| values into a small buffer and deposit each block through
+  // the block fast path; bit-identical to the acc += fabs(v) loop.
+  HpDyn acc(cfg);
   double buf[2 * detail::kDotChunk];
   std::size_t fill = 0;
   for (const double v : x) {
     buf[fill++] = std::fabs(v);
     if (fill == 2 * detail::kDotChunk) {
-      lane.deposit(std::span<const double>(buf, fill));
+      acc.accumulate(std::span<const double>(buf, fill));
       fill = 0;
     }
   }
-  if (fill != 0) lane.deposit(std::span<const double>(buf, fill));
-  return sink.drain().result();
+  if (fill != 0) acc.accumulate(std::span<const double>(buf, fill));
+  return acc.to_double();
 }
 
 double dot(std::span<const double> x, std::span<const double> y,

@@ -305,8 +305,8 @@ TEST(BlockApi, ReduceHpRoutesThroughBlockPath) {
 
 // ---------------------------------------------------------------------------
 // The SIMD deposit path, tested at kernel level: kernel::simd::accumulate
-// (whatever level the build dispatches — avx2, generic, or the off-level
-// scalar loop) against the per-element kernel::block_add reference, from
+// (whatever level the build dispatches — avx2 or the off-level scalar
+// loop) against the per-element kernel::block_add reference, from
 // the same starting limbs, sharing bound/pending/planes across arbitrary
 // span splits. Limbs and sticky status must match bit for bit; the interior
 // bound_exp may differ (the batched bound is deliberately conservative),
@@ -454,8 +454,11 @@ TEST(BlockSimd, UniformAndStraddlingBatches) {
 TEST(BlockSimd, DispatchLevelIsCoherent) {
   const auto level = kernel::simd::active_level();
 #if HPSUM_SIMD_DISPATCH
-  // A dispatching build must have resolved to a real lane implementation.
-  EXPECT_NE(level, kernel::simd::Level::kOff);
+  // A dispatching build takes the AVX2 lanes exactly when the CPU has them.
+  __builtin_cpu_init();
+  EXPECT_EQ(level, __builtin_cpu_supports("avx2")
+                       ? kernel::simd::Level::kAvx2
+                       : kernel::simd::Level::kOff);
 #else
   // HPSUM_SIMD=OFF pins the off level: block_accumulate never leaves the
   // scalar loop, and direct simd::accumulate calls take the scalar branch.

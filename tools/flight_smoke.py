@@ -9,7 +9,11 @@ Chrome trace-event JSON end to end:
   * at least two distinct mpisim rank lanes appear (process_name metadata
     "mpisim <rank>"), i.e. the per-rank tracks actually got labeled,
   * ``mpi.reduce`` spans from >= 2 different rank lanes share a
-    reduction_id — the cross-rank correlation key works, and
+    reduction_id — the cross-rank correlation key works,
+  * ``local.reduce`` spans (each rank's local phase, reduce_hp) appear on
+    >= 2 rank lanes, and at least one shares its reduction_id with an
+    ``mpi.reduce`` span — the local phase is on the same timeline as the
+    collective it feeds, and
   * every (pid, tid) track has matched B/E counts per event name, so the
     spans nest instead of leaking.
 
@@ -98,6 +102,22 @@ def validate(events, failures):
         failures.append("no reduction_id is shared by mpi.reduce spans on "
                         ">= 2 rank lanes — the correlation key is broken")
 
+    # Local phases: each rank's reduce_hp emits local.reduce on its own
+    # lane, tagged with the reduction it feeds.
+    local = [ev for ev in events if ev["name"] == "local.reduce"
+             and ev["ph"] == "B" and ev["pid"] in rank_pids]
+    local_pids = {ev["pid"] for ev in local}
+    linked = [ev for ev in local
+              if ev.get("args", {}).get("reduction_id") in rid_to_pids]
+    print(f"  local.reduce spans: {len(local)} on {len(local_pids)} rank "
+          f"lanes, {len(linked)} sharing a reduction_id with mpi.reduce")
+    if len(local_pids) < 2:
+        failures.append(f"expected local.reduce spans on >= 2 mpisim rank "
+                        f"lanes, got {len(local_pids)}")
+    elif not linked:
+        failures.append("no local.reduce span shares its reduction_id with "
+                        "an mpi.reduce span")
+
     # Span hygiene: B/E counts must match per (pid, tid, name).
     depth = collections.Counter()
     for ev in events:
@@ -179,7 +199,7 @@ def main():
             print(f"  - {f}", file=sys.stderr)
         return 1
     print(f"flight_smoke: PASS ({len(events)} events, rank lanes + "
-          "correlation + span balance ok)")
+          "correlation + local phases + span balance ok)")
     return 0
 
 
