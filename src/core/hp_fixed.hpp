@@ -77,7 +77,7 @@ class HpFixed {
 
   /// Adds a block of doubles through the carry-deferred block fast path
   /// (BlockAccumulator): deposits land in per-limb carry-save planes and
-  /// carries normalize once per block instead of once per summand.
+  /// carries normalize once per flush instead of once per summand.
   /// Bit-identical (limbs and sticky status) to `for (x : xs) *this += x;`
   /// — the differential contract tests/test_block.cpp enforces.
   constexpr HpFixed& accumulate(std::span<const double> xs) noexcept {

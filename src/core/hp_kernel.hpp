@@ -20,10 +20,12 @@
 //   BlockAccumulator<N,K> — the block fast path as a value type: deposits
 //                a stream of doubles into per-limb carry-save partials
 //                (unsigned __int128 planes, one positive one negative) and
-//                normalizes carries once per block instead of once per
-//                summand (Neal's small-superaccumulator batching, arXiv
-//                1505.05571). Provably bit-identical — limbs AND sticky
-//                status — to the sequential scalar operator+=(double) path;
+//                normalizes carries once per flush instead of once per
+//                summand — in practice once per span, because flushes
+//                wait for Neal's logarithmic deferral budget (arXiv
+//                1505.05571) to run out. Provably bit-identical — limbs
+//                AND sticky status — to the sequential scalar
+//                operator+=(double) path;
 //                tests/test_block.cpp holds the differential fuzz and
 //                constexpr proofs, docs/KERNELS.md the invariant argument.
 //
@@ -351,9 +353,30 @@ template <class FetchAdd>
   return util::highest_set_bit(span) + 1;
 }
 
+/// Most deposits the block planes defer between flushes, whatever the
+/// format's headroom: each U128 slot receives at most one < 2^64 word per
+/// deposit, so it stays below 2^94 — far from wrapping.
+inline constexpr int kBlockMaxPending = 1 << 30;
+
+/// The deferral budget (Neal's small-superaccumulator count, arXiv
+/// 1505.05571): true iff a flushed value below 2^bound plus `pending`
+/// deferred deposits, each below 2^bound, stays strictly inside the
+/// format's range. Their magnitudes sum to less than
+/// (pending+1) * 2^bound <= 2^(bound + bit_width(pending)), so this holds
+/// whenever bound + bit_width(pending) <= 64n-1. Monotone in both
+/// arguments, which is what lets the SIMD batch gate test one batch with
+/// one call and reach exactly the scalar loop's decision.
+[[nodiscard]] constexpr bool block_budget_ok(int n, int bound,
+                                             int pending) noexcept {
+  return pending <= kBlockMaxPending &&
+         bound + static_cast<int>(std::bit_width(
+                     static_cast<unsigned>(pending))) <=
+             64 * n - 1;
+}
+
 /// Normalizes the deferred carry-save planes into `a`: folds each plane's
 /// per-limb U128 partials into an n-limb value (lsb-first, carries ripple
-/// once per BLOCK instead of once per summand) and applies the positive
+/// once per flush instead of once per summand) and applies the positive
 /// plane as one add and the negative plane as one subtract. Recomputes
 /// `bound_exp` from the flushed value and zeroes `pending`.
 ///
@@ -362,11 +385,11 @@ template <class FetchAdd>
 /// that lets block_add write the straddle word unconditionally (it only
 /// ever receives provably-zero straddles of top-limb deposits).
 ///
-/// Exactness: pending <= 64n-1 between flushes (block_add grows bound_exp
-/// by >= 1 per deferred deposit), so each U128 slot holds < 2^75 — far
-/// from wrapping — and each folded plane value is < 2^(64n-1) (the bound
-/// invariant bounds the planes' totals separately, not just their
-/// difference), so no carry is lost off the top of the fold.
+/// Exactness: pending <= kBlockMaxPending between flushes, so each U128
+/// slot holds < 2^94 — far from wrapping — and block_budget_ok bounds
+/// |value| plus the deferred magnitudes below 2^(64n-1), which bounds each
+/// plane's total separately (not just their difference), so no carry is
+/// lost off the top of the fold.
 constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
                            int& bound_exp, int& pending) noexcept {
   if (pending == 0) return;
@@ -395,7 +418,7 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
   neg[0] = 0;
   const auto span = util::LimbSpan(a, static_cast<std::size_t>(n));
   // Carry/borrow out of the top wraps mod 2^(64n), exactly as the scalar
-  // path wraps; under the bound invariant no prefix can actually wrap.
+  // path wraps; under the budget no prefix can actually wrap.
   // hplint: allow(discard-status) — ring-wrap is the scalar semantics
   util::add_into(span, util::ConstLimbSpan(pv, static_cast<std::size_t>(n)));
   // hplint: allow(discard-status) — ring-wrap is the scalar semantics
@@ -413,19 +436,17 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
   bound_exp = block_bound_exp(a, n);
 }
 
-/// One block-path deposit of `r` into (a, pos, neg). Maintains the bound
-/// invariant: |true running value| < 2^bound_exp, where "true value" means
-/// a plus the deferred planes. Each deferred deposit updates
-///
-///   bound_exp' = max(bound_exp, msb(r)+1) + 1
-///
-/// (|x+y| < 2^(max+1)); while bound_exp' <= 64n-2 no prefix of the scalar
-/// deposit sequence could leave the representable range, so the scalar path
-/// would raise no kAddOverflow and the deferred status is exactly the
-/// conversion-side flags — that is the status half of the bit-identity
-/// proof. When the bound would reach the sign bit the planes are flushed
-/// and the summand takes detail::scatter_add_double verbatim, making the
-/// overflow corner bit-identical by construction (limbs and status).
+/// One block-path deposit of `r` into (a, pos, neg). State between
+/// flushes: `bound_exp` is the max of the flushed value's bound and
+/// msb+1 of every deferred deposit, and `pending` counts the deferred
+/// deposits. A deposit defers iff block_budget_ok still holds with it
+/// counted; then every prefix of the scalar deposit sequence stays inside
+/// the representable range, so the scalar path would raise no kAddOverflow
+/// and the deferred status is exactly the conversion-side flags — that is
+/// the status half of the bit-identity proof. When the budget is spent the
+/// planes are flushed and the summand takes detail::scatter_add_double
+/// verbatim, making the overflow corner bit-identical by construction
+/// (limbs and status).
 [[nodiscard]] constexpr HpStatus block_add(util::Limb* a, U128* pos, U128* neg,
                                            int n, int k, int& bound_exp,
                                            int& pending, double r) noexcept {
@@ -435,8 +456,8 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
     trace::count_status(d.st);
     return d.st;
   }
-  const int nb = (bound_exp > d.msb + 1 ? bound_exp : d.msb + 1) + 1;
-  if (nb > 64 * n - 1) [[unlikely]] {
+  const int nb = bound_exp > d.msb + 1 ? bound_exp : d.msb + 1;
+  if (!block_budget_ok(n, nb, pending + 1)) [[unlikely]] {
     block_flush(a, pos, neg, n, bound_exp, pending);
     trace::count(trace::Counter::kBlockScalarFallbacks);
     const HpStatus st = detail::scatter_add_double(a, n, k, r);

@@ -4,7 +4,7 @@
 // consumer routes through (HpFixed/HpDyn::accumulate, reduce_hp, the
 // backends' whole-slice accumulators, rblas, the mpisim op). At runtime it
 // dispatches here: a batch of kWidth doubles is decomposed in vector lanes
-// (exponent extract, mantissa split, sign select) and deposited into the
+// (exponent extract, mantissa split, sign mask) and deposited into the
 // positive/negative carry-save planes, instead of paying the scalar
 // decompose's branch tree once per summand.
 //
@@ -23,15 +23,16 @@
 // lands fully inside the limb array (no truncation below 2^-64k, msb at
 // most 64n-2). Such deposits raise no status flags and are deferred into
 // the planes, where addition is commutative over Z/2^(64n) — so any
-// batching order equals the scalar element-at-a-time order. The deferral
-// bound is maintained conservatively per batch
-// (max(bound_exp, max_msb+1) + kWidth >= the scalar per-element recurrence),
-// which can only force the flush + scalar fallback EARLIER than the scalar
-// path would — and the fallback is bit-identical by construction. Any batch
-// containing a slow lane (zero, subnormal, non-finite, sub-lsb truncation,
-// near-range, or a bound violation) is punted whole, in stream order, to
-// the scalar kernel::block_add. Limbs AND sticky status therefore match
-// the scalar kernel exactly; tests/test_block.cpp fuzzes the equivalence.
+// batching order equals the scalar element-at-a-time order. The batch gate
+// applies the scalar deferral budget (kernel::block_budget_ok) to the
+// state the scalar loop would reach after the same kWidth elements
+// (bound max(bound_exp, max_msb+1), pending + kWidth); the budget is
+// monotone, so that test is exact and SIMD defers and flushes where the
+// scalar loop does. Any batch containing a slow lane (zero, subnormal,
+// non-finite, sub-lsb truncation, near-range) or failing the budget is
+// punted whole, in stream order, to the scalar kernel::block_add. Limbs,
+// planes, bound, pending AND sticky status therefore match the scalar
+// kernel exactly; tests/test_block.cpp fuzzes the equivalence.
 #pragma once
 
 #include <span>

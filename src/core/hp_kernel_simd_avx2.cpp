@@ -29,19 +29,20 @@ namespace {
 }
 
 /// Decomposes kWidth doubles: biased exponent extract, in-window test,
-/// mantissa split into the lo/hi limb words, branch-free sign split into
-/// the four plane streams. Slow lanes produce garbage words (never
-/// consumed: the driver punts the whole batch). The window test uses strict
-/// compares on shifted bounds (AVX2 has no 64-bit >=): be >= be_lo becomes
-/// be > be_lo-1, be <= be_hi becomes be_hi+1 > be — all values are small
-/// positive integers, so the +-1 never wraps. pmax, the uniformity test,
-/// and the four plane-delta sums all stay in the vector domain — no
-/// per-lane extraction on the hot path. For pmax, the biased exponent fits
-/// 32 bits, so an epu32 max over the 64-bit lanes — whose high halves are
-/// zero — is exact. For the lo-word sums, each lane is split at bit 32 and
-/// the halves are summed separately (eight 32-bit pieces cannot wrap a
-/// 64-bit lane), then recombined in U128; the hi straddle words are below
-/// 2^53, so they sum directly.
+/// mantissa split into the lo/hi limb words, and the lane sign mask. Slow
+/// lanes produce garbage words (never consumed: accumulate_batches punts
+/// the batch). The window test uses strict compares on shifted bounds (AVX2
+/// has no 64-bit >=): be >= be_lo becomes be > be_lo-1, be <= be_hi
+/// becomes be_hi+1 > be — all values are small positive integers, so the
+/// +-1 never wraps. pmax, the uniformity test, and the four plane-delta
+/// sums all stay in the vector domain — no per-lane extraction on the hot
+/// path. For pmax, the biased exponent fits 32 bits, so an epu32 max over
+/// the 64-bit lanes — whose high halves are zero — is exact. The uniform
+/// fold sign-splits the words in registers (andnot/and with the sign
+/// mask); for the lo-word sums, each lane is split at bit 32 and the
+/// halves are summed separately (eight 32-bit pieces cannot wrap a 64-bit
+/// lane), then recombined in U128; the hi straddle words are below 2^53,
+/// so they sum directly.
 struct Avx2Decompose {
   void operator()(const double* x, const Window& w,
                   LaneBatch& b) const noexcept {
@@ -57,10 +58,10 @@ struct Avx2Decompose {
     __m256i okacc = _mm256_set1_epi64x(-1);
     __m256i bemax = zero;
     __m256i lq01[2];
-    __m256i lop01[2];
-    __m256i lon01[2];
-    __m256i hip01[2];
-    __m256i hin01[2];
+    __m256i lo01[2];
+    __m256i hi01[2];
+    __m256i neg01[2];
+    unsigned negbits = 0;
     for (int h = 0; h < kWidth; h += 4) {
       const __m256i bits =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + h));
@@ -75,28 +76,23 @@ struct Avx2Decompose {
       const __m256i lov = _mm256_sllv_epi64(m53, off);
       const __m256i hiv = _mm256_srlv_epi64(_mm256_srli_epi64(m53, 1),
                                             _mm256_sub_epi64(c63, off));
-      // All-ones for negative lanes; sign-split the words so the fold and
-      // the non-uniform per-lane path are branch-free on the sign.
-      const __m256i negm = _mm256_cmpgt_epi64(zero, bits);
       const __m256i lqv = _mm256_srli_epi64(p, 6);
-      const __m256i lopv = _mm256_andnot_si256(negm, lov);
-      const __m256i lonv = _mm256_and_si256(negm, lov);
-      const __m256i hipv = _mm256_andnot_si256(negm, hiv);
-      const __m256i hinv = _mm256_and_si256(negm, hiv);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(b.lop + h), lopv);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(b.lon + h), lonv);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(b.hip + h), hipv);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(b.hin + h), hinv);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(b.lo + h), lov);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(b.hi + h), hiv);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(b.lq + h), lqv);
+      // One bit per lane from the double's sign bit.
+      negbits |= static_cast<unsigned>(
+                     _mm256_movemask_pd(_mm256_castsi256_pd(bits)))
+                 << h;
       okacc = _mm256_and_si256(okacc, ok);
       bemax = _mm256_max_epu32(bemax, be);
       const int half = h / 4;
       lq01[half] = lqv;
-      lop01[half] = lopv;
-      lon01[half] = lonv;
-      hip01[half] = hipv;
-      hin01[half] = hinv;
+      lo01[half] = lov;
+      hi01[half] = hiv;
+      neg01[half] = _mm256_cmpgt_epi64(zero, bits);  // all-ones if negative
     }
+    b.neg = negbits;
     b.all_fast = _mm256_movemask_epi8(okacc) == -1;
     // Horizontal epu32 max (high 32-bit halves are zero, so they never win),
     // then back to the signed lsb position.
@@ -120,10 +116,20 @@ struct Avx2Decompose {
         return static_cast<U128>(hsum_epi64(lo32)) +
                (static_cast<U128>(hsum_epi64(hi32)) << 32);
       };
-      b.sum_lo[0] = fold_lo(lop01[0], lop01[1]);
-      b.sum_lo[1] = fold_lo(lon01[0], lon01[1]);
-      b.sum_hi[0] = hsum_epi64(_mm256_add_epi64(hip01[0], hip01[1]));
-      b.sum_hi[1] = hsum_epi64(_mm256_add_epi64(hin01[0], hin01[1]));
+      // Sign split in registers: andnot keeps the positive lanes, and the
+      // negative ones.
+      const auto pos_of = [&](int half, const __m256i* v) {
+        return _mm256_andnot_si256(neg01[half], v[half]);
+      };
+      const auto neg_of = [&](int half, const __m256i* v) {
+        return _mm256_and_si256(neg01[half], v[half]);
+      };
+      b.sum_lo[0] = fold_lo(pos_of(0, lo01), pos_of(1, lo01));
+      b.sum_lo[1] = fold_lo(neg_of(0, lo01), neg_of(1, lo01));
+      b.sum_hi[0] =
+          hsum_epi64(_mm256_add_epi64(pos_of(0, hi01), pos_of(1, hi01)));
+      b.sum_hi[1] =
+          hsum_epi64(_mm256_add_epi64(neg_of(0, hi01), neg_of(1, hi01)));
     }
   }
 };

@@ -1,6 +1,6 @@
 // hp_kernel_simd_deposit — the ISA-independent half of the vectorized block
-// deposit: the per-batch fast-lane gate, the conservative bound update, and
-// the plane scatter. hp_kernel_simd_avx2.cpp provides only the lane
+// deposit: the per-batch fast-lane gate, the exact budget check, and the
+// plane scatter. hp_kernel_simd_avx2.cpp provides only the lane
 // decomposer (-mavx2 intrinsics); everything that decides WHETHER a batch
 // may be vector-deposited — and therefore everything the bit-identity
 // argument rests on — lives here, apart from the ISA-specific code.
@@ -22,30 +22,30 @@ namespace hpsum::kernel::simd::detail {
 inline constexpr std::uint64_t kMask52 = (std::uint64_t{1} << 52) - 1;
 inline constexpr std::uint64_t kBit52 = std::uint64_t{1} << 52;
 
-/// One decomposed batch of kWidth lanes, already sign-split: a positive
-/// lane has its limb words in lop/hip and zeros in lon/hin, a negative
-/// lane the reverse — so the driver's fold never branches or indexes on
-/// the sign, it just sums four independent streams. The decomposer fills
-/// every array unconditionally (slow lanes hold garbage); `all_fast` is
-/// the only field that says whether the rest may be trusted, except
-/// `pmax`, which is exact whenever all_fast is true and otherwise merely
-/// small (|pmax| <= 2123), so arithmetic on it never overflows.
+/// One decomposed batch of kWidth lanes. Each lane's two limb words are
+/// stored once, unsigned; `neg` says which plane a lane goes to, so the
+/// per-lane path of accumulate_batches selects pos or neg once per lane
+/// and writes two slots. The decomposer fills every field unconditionally
+/// (slow lanes hold garbage); `all_fast` is the only field that says
+/// whether the rest may be trusted, except `pmax`, which is exact whenever
+/// all_fast is true and otherwise merely small (|pmax| <= 2123), so
+/// arithmetic on it never overflows.
 struct LaneBatch {
-  std::uint64_t lop[kWidth];  ///< limb-li word, positive lanes (else 0)
-  std::uint64_t lon[kWidth];  ///< limb-li word, negative lanes (else 0)
-  std::uint64_t hip[kWidth];  ///< straddle word for limb li-1, positive
-  std::uint64_t hin[kWidth];  ///< straddle word for limb li-1, negative
-  std::uint64_t lq[kWidth];   ///< p >> 6: the lsb's limb offset from the bottom
+  std::uint64_t lo[kWidth];  ///< limb-li word of each lane
+  std::uint64_t hi[kWidth];  ///< straddle word for limb li-1
+  std::uint64_t lq[kWidth];  ///< p >> 6: the lsb's limb offset from the bottom
   /// Batch-level plane deltas, filled ONLY when all_fast && uniform:
   /// sum_lo[s] = sum of the lo words of sign s (0 positive, 1 negative),
   /// sum_hi[s] likewise for the straddle words — exactly what the scalar
   /// loop would add to slots li+1 and li, pre-summed (a kWidth-term sum of
   /// 64-bit words sits far below the U128 ceiling). The decomposer
-  /// computes these in the vector domain, so the driver never re-walks the
-  /// lanes in the hot case.
+  /// computes these in the vector domain, with the sign split kept in
+  /// registers, so accumulate_batches never re-walks the lanes in the hot
+  /// case.
   U128 sum_lo[2];
   U128 sum_hi[2];
   int pmax = 0;               ///< max over lanes of the lsb position p
+  unsigned neg = 0;           ///< bit j set iff lane j is negative
   bool all_fast = false;      ///< every lane normal, in-window, untruncated
   bool uniform = false;       ///< all lanes share lq[0] (one target limb pair)
 };
@@ -81,23 +81,21 @@ struct Window {
 ///
 ///   1. Only all-fast batches are vector-deposited, and a fast deposit
 ///      raises no flags, so batching cannot reorder or drop status.
-///   2. The batch bound nb = max(bound, pmax+53) + kWidth dominates the
-///      scalar recurrence b' = max(b, msb+1)+1 applied to the same kWidth
-///      elements (induction: after i elements the scalar bound is at most
-///      max(b0, pmax+53) + i), so if nb fits under 64n-1 every scalar
-///      intermediate bound fits too — the scalar path would not have
-///      flushed inside this batch, and its deposits commute in the planes:
-///      the fold below hands each plane slot exactly the words the scalar
-///      loop would, just pre-summed in a register, so the plane contents
-///      (not merely their totals) are identical.
+///   2. The gate is exact. A fast lane has msb+1 = p+53, so after the same
+///      kWidth elements the scalar loop would hold bound
+///      max(bound, pmax+53) and pending pend+kWidth, and it would have
+///      deferred every one of them iff kernel::block_budget_ok accepts that
+///      final state (the budget is monotone in both arguments, so the last
+///      element is the tightest). The gate tests exactly that, so SIMD and
+///      scalar defer and flush at the same points and reach the same
+///      bound/pending. The fold below hands each plane slot exactly the
+///      words the scalar loop would, just pre-summed in a register, so the
+///      plane contents (not merely their totals) are identical too.
 ///   3. A batch that fails the gate is punted WHOLE, element-wise, in
-///      stream order through kernel::block_add, whose flush + scatter
-///      fallback is bit-identical by construction. The conservative bound
-///      can only make that fallback fire EARLIER than the scalar path —
-///      on the same exact partial sum, hence the same limbs and flags.
-///   4. The bound grows by kWidth per kWidth deferred deposits (>= 1 per
-///      deposit, same as scalar), preserving the pending <= 64n-1 flush
-///      exactness invariant documented at kernel::block_flush.
+///      stream order through kernel::block_add, which is the scalar loop
+///      itself: its flush + scatter fallback fires on the same element.
+///   4. Deferral stays within kernel::block_budget_ok, which is the
+///      flush-exactness invariant documented at kernel::block_flush.
 template <class DecomposeFn>
 [[nodiscard]] inline HpStatus accumulate_batches(
     util::Limb* a, U128* pos, U128* neg, int n, int k, int& bound_exp,
@@ -117,8 +115,8 @@ template <class DecomposeFn>
     LaneBatch b;
     decompose(x + i, w, b);
     if (b.all_fast) [[likely]] {
-      const int nb = (bound > b.pmax + 53 ? bound : b.pmax + 53) + kWidth;
-      if (nb <= 64 * n - 1) [[likely]] {
+      const int nb = bound > b.pmax + 53 ? bound : b.pmax + 53;
+      if (kernel::block_budget_ok(n, nb, pend + kWidth)) [[likely]] {
         ++batches;
         if (b.uniform) [[likely]] {
           // One target limb pair: the decomposer already folded the batch
@@ -131,16 +129,13 @@ template <class DecomposeFn>
           neg[li + 1] += b.sum_lo[1];
           neg[li] += b.sum_hi[1];
         } else {
-          // Lanes straddle a limb boundary: deposit per lane. The
-          // sign-split arrays make this branch-free — one side of each
-          // pair is zero, and adding zero to a plane slot is a no-op on
-          // the plane's total.
+          // Lanes straddle a limb boundary: deposit per lane, one plane
+          // (picked by the lane's sign) and two slots per lane.
           for (int j = 0; j < kWidth; ++j) {
+            U128* plane = ((b.neg >> j) & 1u) != 0 ? neg : pos;
             const int li = n - 1 - static_cast<int>(b.lq[j]);
-            pos[li + 1] += b.lop[j];
-            pos[li] += b.hip[j];
-            neg[li + 1] += b.lon[j];
-            neg[li] += b.hin[j];
+            plane[li + 1] += b.lo[j];
+            plane[li] += b.hi[j];
           }
         }
         bound = nb;
@@ -148,9 +143,9 @@ template <class DecomposeFn>
         continue;
       }
     }
-    // Slow lane or bound pressure: the whole batch takes the scalar kernel,
-    // in stream order, so flush points and status flags keep the scalar
-    // path's exact semantics.
+    // Slow lane or a spent budget: the whole batch takes the scalar
+    // kernel, in stream order, so flush points and status flags keep the
+    // scalar path's exact semantics.
     ++punts;
     for (int j = 0; j < kWidth; ++j) {
       st |= kernel::block_add(a, pos, neg, n, k, bound, pend, x[i + j]);

@@ -76,7 +76,7 @@ enum class Counter : std::uint16_t {
   kBlockDeposits,         ///< doubles offered to the block path
   kBlockNormalizes,       ///< carry-save plane flushes (block_flush)
   kBlockFlushedDeposits,  ///< deferred deposits folded per flush (depth sum)
-  kBlockScalarFallbacks,  ///< bound-violation deposits sent down the scalar path
+  kBlockScalarFallbacks,  ///< deposits past the deferral budget (scalar path)
   // core — the vectorized (SIMD) batch-deposit path over the block planes.
   kBlockSimdBatches,      ///< full-width batches deposited in vector lanes
   kBlockSimdDeposits,     ///< doubles deposited by the vector path

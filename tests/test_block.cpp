@@ -23,7 +23,9 @@
 #include "core/hp_kernel.hpp"
 #include "core/hp_kernel_simd.hpp"
 #include "core/reduce.hpp"
+#include "trace/trace.hpp"
 #include "util/prng.hpp"
+#include "workload/workload.hpp"
 
 namespace hpsum {
 namespace {
@@ -162,9 +164,9 @@ TEST(BlockFuzz, AllSmallFormatsBitIdenticalToScalar) {
   }
 }
 
-// Long streams on the paper's formats: enough deposits that the block path
-// flushes many times mid-stream (the bound invariant forces a flush at
-// least every 64n-1 deferred deposits).
+// Long streams on the paper's formats. The adversarial corpus keeps landing
+// near max_range, so the deferral budget runs out and the block path
+// flushes (and takes the scalar fallback) many times mid-stream.
 TEST(BlockFuzz, LongStreamsCrossManyFlushes) {
   util::Xoshiro256ss rng(0xF1005ull);
   for (const HpConfig cfg : {HpConfig{2, 1}, HpConfig{6, 3}, HpConfig{8, 4}}) {
@@ -308,39 +310,41 @@ TEST(BlockApi, ReduceHpRoutesThroughBlockPath) {
 // (whatever level the build dispatches — avx2 or the off-level scalar
 // loop) against the per-element kernel::block_add reference, from
 // the same starting limbs, sharing bound/pending/planes across arbitrary
-// span splits. Limbs and sticky status must match bit for bit; the interior
-// bound_exp may differ (the batched bound is deliberately conservative),
-// so it is not asserted.
+// span splits. The batch gate is exact, so the whole block state — limbs,
+// planes, bound_exp and pending — must match before the final flush, and
+// limbs and sticky status must match bit for bit after it.
 // ---------------------------------------------------------------------------
 
 /// Differential: simd::accumulate over `xs` — split into subspans at
 /// `splits` (sizes deliberately not multiples of the batch width, modelling
 /// the dot/asum chunk staging's partial final chunk) — vs the scalar
-/// block_add loop. One flush at the end of each side.
-void expect_simd_matches_block_add(const HpConfig& cfg,
-                                   const std::vector<Limb>& start,
-                                   const std::vector<double>& xs,
-                                   const std::vector<std::size_t>& splits) {
+/// block_add loop. Both sides start from `start` with `pending0` deferred
+/// (empty) deposits, so the budget's pending cap is reachable directly.
+/// Returns the shared pre-flush pending count; one flush at the end of
+/// each side.
+int expect_simd_matches_block_add(const HpConfig& cfg,
+                                  const std::vector<Limb>& start,
+                                  const std::vector<double>& xs,
+                                  const std::vector<std::size_t>& splits,
+                                  int pending0 = 0) {
   const auto np = static_cast<std::size_t>(cfg.n) + 1;
-  // Scalar reference: per-element block_add, flush once.
+  // Scalar reference: per-element block_add.
   std::vector<Limb> scalar = start;
   std::vector<kernel::U128> spos(np, 0);
   std::vector<kernel::U128> sneg(np, 0);
   int sbound = kernel::block_bound_exp(scalar.data(), cfg.n);
-  int spend = 0;
+  int spend = pending0;
   HpStatus sst = HpStatus::kOk;
   for (const double x : xs) {
     sst |= kernel::block_add(scalar.data(), spos.data(), sneg.data(), cfg.n,
                              cfg.k, sbound, spend, x);
   }
-  kernel::block_flush(scalar.data(), spos.data(), sneg.data(), cfg.n, sbound,
-                      spend);
-  // SIMD path: subspans share accumulator state, flush once at the end.
+  // SIMD path: subspans share accumulator state.
   std::vector<Limb> simd = start;
   std::vector<kernel::U128> vpos(np, 0);
   std::vector<kernel::U128> vneg(np, 0);
   int vbound = kernel::block_bound_exp(simd.data(), cfg.n);
-  int vpend = 0;
+  int vpend = pending0;
   HpStatus vst = HpStatus::kOk;
   const std::span<const double> all(xs.data(), xs.size());
   std::size_t at = 0;
@@ -353,16 +357,31 @@ void expect_simd_matches_block_add(const HpConfig& cfg,
   vst |= kernel::simd::accumulate(simd.data(), vpos.data(), vneg.data(),
                                   cfg.n, cfg.k, vbound, vpend,
                                   all.subspan(at));
+  const char* level = kernel::simd::level_name(kernel::simd::active_level());
+  // The gate is exact: SIMD flushes and defers at the scalar loop's points,
+  // so the deferred state itself is identical, not just its flushed value.
+  EXPECT_EQ(sbound, vbound) << "bound_exp mismatch: n=" << cfg.n
+                            << " k=" << cfg.k << " level=" << level;
+  EXPECT_EQ(spend, vpend) << "pending mismatch: n=" << cfg.n << " k=" << cfg.k
+                          << " level=" << level;
+  EXPECT_EQ(scalar, simd) << "pre-flush limb mismatch: n=" << cfg.n
+                          << " k=" << cfg.k << " level=" << level;
+  EXPECT_TRUE(spos == vpos) << "pos plane mismatch: n=" << cfg.n
+                            << " k=" << cfg.k << " level=" << level;
+  EXPECT_TRUE(sneg == vneg) << "neg plane mismatch: n=" << cfg.n
+                            << " k=" << cfg.k << " level=" << level;
+  const int pending = spend;
+  kernel::block_flush(scalar.data(), spos.data(), sneg.data(), cfg.n, sbound,
+                      spend);
   kernel::block_flush(simd.data(), vpos.data(), vneg.data(), cfg.n, vbound,
                       vpend);
-  ASSERT_EQ(scalar, simd) << "simd limb mismatch: n=" << cfg.n
+  EXPECT_EQ(scalar, simd) << "simd limb mismatch: n=" << cfg.n
                           << " k=" << cfg.k << " len=" << xs.size()
-                          << " level="
-                          << kernel::simd::level_name(
-                                 kernel::simd::active_level());
-  ASSERT_EQ(sst, vst) << "simd status mismatch: n=" << cfg.n << " k=" << cfg.k
+                          << " level=" << level;
+  EXPECT_EQ(sst, vst) << "simd status mismatch: n=" << cfg.n << " k=" << cfg.k
                       << " scalar=" << to_string(sst)
                       << " simd=" << to_string(vst);
+  return pending;
 }
 
 TEST(BlockSimd, DifferentialFuzzAllSmallFormats) {
@@ -376,7 +395,7 @@ TEST(BlockSimd, DifferentialFuzzAllSmallFormats) {
         std::vector<double> xs(rng.bounded(50));
         for (auto& x : xs) x = adversarial_double(rng, cfg);
         expect_simd_matches_block_add(cfg, start, xs, {});
-        if (HasFatalFailure()) return;
+        if (HasFailure()) return;
       }
     }
   }
@@ -420,7 +439,7 @@ TEST(BlockSimd, PartialFinalChunksAcrossCalls) {
   for (std::size_t len = 0; len <= 17; ++len) {  // every sub-batch tail size
     expect_simd_matches_block_add(
         cfg, start, std::vector<double>(xs.begin(), xs.begin() + len), {});
-    if (HasFatalFailure()) return;
+    if (HasFailure()) return;
   }
 }
 
@@ -440,8 +459,9 @@ TEST(BlockSimd, UniformAndStraddlingBatches) {
     straddle.push_back(std::ldexp((i % 2 != 0) ? -1.0 : 1.0, (i % 3) * 64));
   }
   expect_simd_matches_block_add(cfg, start, straddle, {});
-  // Bound-pressure batch: a nearly-full accumulator forces the batch gate's
-  // nb <= 64n-1 check to fail and the whole batch to punt.
+  // Budget-pressure batch: a nearly-full accumulator (bound 64n-1) leaves
+  // no room for even one deferred deposit, so the batch gate fails and the
+  // whole batch punts.
   std::vector<Limb> nearly_full(6, 0);
   nearly_full[0] = ~Limb{0} >> 1;
   for (std::size_t i = 1; i < nearly_full.size(); ++i) {
@@ -449,6 +469,109 @@ TEST(BlockSimd, UniformAndStraddlingBatches) {
   }
   expect_simd_matches_block_add(cfg, nearly_full,
                                 std::vector<double>(16, 1.0), {});
+}
+
+// ---------------------------------------------------------------------------
+// The deferral budget: a deposit defers iff
+// bound + bit_width(pending) <= 64n-1 and pending <= kBlockMaxPending, with
+// bound the max of the flushed value's bound and every deferred msb+1.
+// Directed at the raw kernel API, scalar and SIMD side by side.
+// ---------------------------------------------------------------------------
+
+/// Sticky status of the element-at-a-time scatter loop from `start`.
+HpStatus scalar_status(const HpConfig& cfg, std::vector<Limb> start,
+                       const std::vector<double>& xs) {
+  HpStatus st = HpStatus::kOk;
+  for (const double x : xs) {
+    st |= detail::scatter_add_double(start.data(), cfg.n, cfg.k, x);
+  }
+  return st;
+}
+
+TEST(BlockBudget, PendingCapFlushesMidBatch) {
+  // `pending` seeded three below the cap: the scalar loop defers three
+  // more deposits, flushes on the fourth (its scatter fallback), then
+  // defers the last four. The SIMD gate sees pend + 8 over the cap and
+  // must punt to the same points.
+  const HpConfig cfg{6, 3};
+  const std::vector<Limb> start(6, 0);
+  std::vector<double> batch(8);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i] = ((i & 1) != 0 ? -1.0 : 1.0) * (1.0 + 0.125 * double(i));
+  }
+  EXPECT_EQ(expect_simd_matches_block_add(cfg, start, batch, {},
+                                          kernel::kBlockMaxPending - 3),
+            4);
+  // Landing exactly on the cap is still within budget: the batch defers
+  // whole, with no flush.
+  EXPECT_EQ(expect_simd_matches_block_add(cfg, start, batch, {},
+                                          kernel::kBlockMaxPending - 8),
+            kernel::kBlockMaxPending);
+}
+
+TEST(BlockBudget, BitWidthStepCrossesRangeMidBatch) {
+  // HP(2,0) ends at bit 127. A start value of 2^124 (bound 125) leaves
+  // room for bit_width(pending) <= 2: three deferred deposits of 2^100.
+  // The fourth steps bit_width to 3 and must flush and take the scalar
+  // fallback, mid-batch, on both paths — a cadence of four, where the old
+  // one-bit-per-deposit bound flushed every third deposit.
+  const HpConfig cfg{2, 0};
+  const std::vector<Limb> start{Limb{1} << 60, 0};
+  std::vector<double> xs(16);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = (i % 3 == 1) ? -0x1p100 : 0x1p100 * (1.0 + 0.5 * double(i & 1));
+  }
+  EXPECT_EQ(expect_simd_matches_block_add(cfg, start, xs, {}), 0);
+  EXPECT_EQ(expect_simd_matches_block_add(
+                cfg, start, std::vector<double>(xs.begin(), xs.begin() + 14),
+                {}),
+            2);
+  expect_block_matches(cfg, start, xs);
+}
+
+TEST(BlockBudget, AddOverflowMidBatchMatchesScalar) {
+  // Deposits of 2^125 onto 3 * 2^124 in HP(2,0): the first defers, the
+  // second exhausts the budget (126 + bit_width(2) > 127) and falls back,
+  // and the third carries the value past 2^127: kAddOverflow in
+  // mid-batch. A budget one bit too loose would defer that third deposit
+  // and lose the flag. Both signs, on the scalar kernel and the SIMD path.
+  const HpConfig cfg{2, 0};
+  for (const double sign : {1.0, -1.0}) {
+    std::vector<Limb> start{Limb{3} << 60, 0};
+    if (sign < 0) {
+      ASSERT_EQ(kernel::negate(start.data(), cfg.n), HpStatus::kOk);
+    }
+    const std::vector<double> xs(8, sign * 0x1p125);
+    ASSERT_TRUE(has(scalar_status(cfg, start, xs), HpStatus::kAddOverflow));
+    expect_simd_matches_block_add(cfg, start, xs, {});
+    expect_block_matches(cfg, start, xs);
+  }
+}
+
+TEST(BlockBudget, OneFlushPerSpanOnPaperWorkloads) {
+  // The budget's headline: on the paper's two data sets HP(6,3) never runs
+  // short of range, so a whole 1M-summand span is one flush (at limbs())
+  // and, on an AVX2 build, every batch vector-deposits.
+  for (const bool wide : {true, false}) {
+    const std::vector<double> xs =
+        wide ? workload::wide_range_set(1 << 20, 1, -120, 100)
+             : workload::uniform_set(1 << 20, 1);
+    const trace::Snapshot before = trace::snapshot();
+    BlockAccumulator<6, 3> blk;
+    blk.accumulate(std::span<const double>(xs.data(), xs.size()));
+    const HpFixed<6, 3> blocked(blk);
+    const trace::Snapshot delta = trace::snapshot().delta_since(before);
+    if constexpr (trace::enabled()) {
+      EXPECT_EQ(delta.value(trace::Counter::kBlockNormalizes), 1u)
+          << (wide ? "wide" : "uniform");
+      EXPECT_EQ(delta.value(trace::Counter::kBlockSimdPunts), 0u)
+          << (wide ? "wide" : "uniform");
+    }
+    HpFixed<6, 3> scalar;
+    for (const double x : xs) scalar += x;
+    EXPECT_EQ(scalar, blocked);
+    EXPECT_EQ(scalar.status(), blocked.status());
+  }
 }
 
 TEST(BlockSimd, DispatchLevelIsCoherent) {

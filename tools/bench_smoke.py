@@ -25,7 +25,10 @@ bench/BENCH_block.json:
   * samesign_min_speedup (the worse of the all-positive / all-negative
     streams) must clear --block-samesign-floor (default 1.3x — the SIMD
     path's bar on the scalar kernel's branch-predictor best case; pass 0
-    on scalar-only builds, where same-sign parity is expected).
+    on scalar-only builds, where same-sign parity is expected), and
+  * the wide stream's speedup (the wide-range set, whose batches take the
+    per-lane deposit) must be within --tolerance of the baseline. It has
+    no floor of its own.
 
 engine gate (opt-in via --engine) — runs bench/ablate_shards, which
 re-times the chunked HP(6,3) deposit loop through an engine lane against
@@ -90,6 +93,12 @@ import pathlib
 import subprocess
 import sys
 
+# ablate_block streams: the same-sign pair behind samesign_min_speedup, and
+# the streams held to the per-stream baseline tolerance besides the gate
+# stream.
+SAMESIGN_STREAMS = ("all-positive", "all-negative")
+BLOCK_TOLERANCE_STREAMS = ("wide",)
+
 
 def load(path, bench_name):
     with open(path, "r", encoding="utf-8") as f:
@@ -120,9 +129,10 @@ def medianize(docs):
         for s in streams:
             if s["stream"] == gate:
                 out["gate_speedup"] = s["speedup"]
-        others = [s["speedup"] for s in streams if s["stream"] != gate]
-        if "samesign_min_speedup" in out and others:
-            out["samesign_min_speedup"] = min(others)
+        samesign = [s["speedup"] for s in streams
+                    if s["stream"] in SAMESIGN_STREAMS]
+        if "samesign_min_speedup" in out and samesign:
+            out["samesign_min_speedup"] = min(samesign)
     return out
 
 
@@ -183,8 +193,9 @@ def gate_scatter(fresh, baseline, tolerance, floor):
 
 def gate_block(fresh, baseline, tolerance, floor, samesign_floor):
     """Mixed stream against baseline + floor; same-sign streams against
-    their own floor (SIMD builds). Baseline ratios are skipped when the
-    two documents were measured at different SIMD levels."""
+    their own floor (SIMD builds); the wide stream against baseline only.
+    Baseline ratios are skipped when the two documents were measured at
+    different SIMD levels."""
     failures = []
     gate = fresh.get("gate_stream", "mixed")
     comparable = fresh.get("simd") == baseline.get("simd")
@@ -194,11 +205,13 @@ def gate_block(fresh, baseline, tolerance, floor, samesign_floor):
     base_by_stream = {s["stream"]: s for s in baseline["streams"]}
     for s in fresh["streams"]:
         name = s["stream"]
-        gated = name == gate and comparable
+        gated = comparable and (name == gate or
+                                name in BLOCK_TOLERANCE_STREAMS)
         base = base_by_stream.get(name)
         if base is None:
             if gated:
-                failures.append(f"gate stream {name!r} missing from baseline")
+                failures.append(f"gated stream {name!r} missing from "
+                                "baseline")
             continue
         limit = base["speedup"] * (1.0 - tolerance) if gated else 0.0
         verdict = ("ok" if s["speedup"] >= limit else
@@ -215,7 +228,8 @@ def gate_block(fresh, baseline, tolerance, floor, samesign_floor):
             f"below the {floor:.1f}x acceptance floor")
     samesign = fresh.get("samesign_min_speedup")
     if samesign_floor > 0 and samesign is not None and samesign < samesign_floor:
-        slowest = min((s for s in fresh["streams"] if s["stream"] != gate),
+        slowest = min((s for s in fresh["streams"]
+                       if s["stream"] in SAMESIGN_STREAMS),
                       key=lambda s: s["speedup"])
         failures.append(
             f"stream '{slowest['stream']}': samesign_min_speedup "
@@ -341,7 +355,7 @@ def _fake_block_doc(speedups, simd="avx2"):
         "gate_stream": "mixed",
         "gate_speedup": speedups["mixed"],
         "samesign_min_speedup": min(s for n, s in speedups.items()
-                                    if n != "mixed"),
+                                    if n in SAMESIGN_STREAMS),
         "min_speedup": min(speedups.values()),
     }
 
@@ -352,7 +366,7 @@ def selftest(tolerance):
     (inverted comparison, stream filter that skips everything) that would
     otherwise turn the smoke job into a silent no-op."""
     base = _fake_block_doc({"all-positive": 2.0, "all-negative": 2.0,
-                            "mixed": 3.0})
+                            "mixed": 3.0, "wide": 4.0})
     ok = 0
 
     def check(label, failures, must_name):
@@ -367,24 +381,25 @@ def selftest(tolerance):
 
     # 1. Gate-stream slowdown beyond tolerance must fail and name "mixed".
     slow = _fake_block_doc({"all-positive": 2.0, "all-negative": 2.0,
-                            "mixed": 3.0 * (1.0 - tolerance) * 0.9})
+                            "mixed": 3.0 * (1.0 - tolerance) * 0.9,
+                            "wide": 4.0})
     check("gate-stream slowdown",
           gate_block(slow, base, tolerance, 0.0, 0.0), "'mixed'")
 
     # 2. Floor violation must fail and name the gate stream.
     low = _fake_block_doc({"all-positive": 2.0, "all-negative": 2.0,
-                           "mixed": 2.0})
+                           "mixed": 2.0, "wide": 4.0})
     check("gate floor", gate_block(low, base, tolerance, 2.5, 0.0), "'mixed'")
 
     # 3. Same-sign floor violation must fail and name the slow stream.
     lop = _fake_block_doc({"all-positive": 1.1, "all-negative": 2.0,
-                           "mixed": 3.0})
+                           "mixed": 3.0, "wide": 4.0})
     check("same-sign floor",
           gate_block(lop, base, tolerance, 0.0, 1.3), "'all-positive'")
 
     # 4. Mismatched SIMD levels must skip the ratio but keep the floors.
     off = _fake_block_doc({"all-positive": 1.0, "all-negative": 1.0,
-                           "mixed": 1.2}, simd="off")
+                           "mixed": 1.2, "wide": 1.0}, simd="off")
     check("simd-off floors-only",
           gate_block(off, base, tolerance, 1.5, 0.0), "'mixed'")
     if gate_block(off, base, tolerance, 1.0, 0.0):
@@ -393,6 +408,14 @@ def selftest(tolerance):
     else:
         print("  selftest [simd-off ratio skipped]: PASS")
         ok += 1
+
+    # 4b. A wide-stream slowdown beyond tolerance must fail and name "wide"
+    # (no floor: the baseline ratio alone catches it).
+    wslow = _fake_block_doc({"all-positive": 2.0, "all-negative": 2.0,
+                             "mixed": 3.0,
+                             "wide": 4.0 * (1.0 - tolerance) * 0.9})
+    check("wide slowdown",
+          gate_block(wslow, base, tolerance, 2.5, 1.3), "'wide'")
 
     # 5. An identical measurement must pass every gate.
     clean = gate_block(copy.deepcopy(base), base, tolerance, 2.5, 1.3)
@@ -454,7 +477,7 @@ def selftest(tolerance):
           f"{'FAIL' if clean_eng else 'PASS'}")
     ok += 0 if clean_eng else 1
 
-    total = 14
+    total = 15
     if ok != total:
         print(f"bench_smoke --selftest: FAIL ({ok}/{total})", file=sys.stderr)
         return 1
