@@ -11,10 +11,8 @@
 // and mixed-sign, plus the wide-range set (exponents -120..100), whose
 // batches straddle limbs and take the per-lane deposit.
 //
-// Flags: --n (default 4M summands), --seed, --json=PATH (write the
-// BENCH_block.json schema consumed by tools/bench_smoke.py; see
-// EXPERIMENTS.md).
-#include <algorithm>
+// Flags: --n (default 4M summands), --seed, --json=PATH (write the bench
+// record tools/bench_smoke.py gates; see EXPERIMENTS.md).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -130,65 +128,25 @@ int main(int argc, char** argv) {
       "same-sign streams — the scalar path's branch-predictor best case — "
       "well past parity too. The wide stream spreads each batch over "
       "several limbs, so it measures the per-lane deposit rather than the "
-      "one-limb fold. The mixed stream carries the primary gate; the "
-      "same-sign floor applies only to SIMD builds. Identity of limbs and "
-      "status is checked above before timing.\n",
+      "one-limb fold. Identity of limbs and status is checked above "
+      "before timing.\n",
       kernel::simd::level_name(kernel::simd::active_level()));
 
-  // --json=PATH: the BENCH_block.json schema (EXPERIMENTS.md) consumed by
-  // tools/bench_smoke.py and the bench-smoke CI job.
-  const std::string json_path = args.get_string("json", "");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"ablate_block\",\n"
-                 "  \"format\": {\"n\": 6, \"k\": 3},\n"
-                 "  \"simd\": \"%s\",\n"
-                 "  \"stream_size\": %lld,\n"
-                 "  \"streams\": [\n",
-                 kernel::simd::level_name(kernel::simd::active_level()),
-                 static_cast<long long>(n));
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"stream\": \"%s\", \"block_ns_per_add\": %.4f, "
-                   "\"scalar_ns_per_add\": %.4f, \"speedup\": %.4f}%s\n",
-                   rows[i].stream, rows[i].block_ns, rows[i].scalar_ns,
-                   rows[i].scalar_ns / rows[i].block_ns,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    double min_speedup = 1e300;
-    double gate_speedup = 0.0;
-    double samesign_min = 1e300;
-    for (const auto& r : rows) {
-      const double s = r.scalar_ns / r.block_ns;
-      min_speedup = std::min(min_speedup, s);
-      const std::string stream = r.stream;
-      if (stream == "mixed") {
-        gate_speedup = s;
-      } else if (stream != "wide") {
-        samesign_min = std::min(samesign_min, s);
-      }
-    }
-    // gate_speedup (the mixed stream) carries the primary acceptance floor
-    // in tools/bench_smoke.py (2.5x on SIMD builds, 1.5x scalar-only);
-    // samesign_min_speedup is the worse of the all-positive/all-negative
-    // streams and carries the SIMD builds' 1.3x same-sign floor. The wide
-    // stream has no floor; bench_smoke gates it against its baseline.
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"gate_stream\": \"mixed\",\n"
-                 "  \"gate_speedup\": %.4f,\n"
-                 "  \"samesign_min_speedup\": %.4f,\n"
-                 "  \"min_speedup\": %.4f\n"
-                 "}\n",
-                 gate_speedup, samesign_min, min_speedup);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
+  // --json=PATH: the bench record (bench/common.hpp) tools/bench_smoke.py
+  // gates against bench/BENCH_block.json.
+  bench::Record record("ablate_block");
+  record.config("format", "HP(6,3)");
+  record.config("n", n);
+  record.config("seed", static_cast<std::int64_t>(seed));
+  for (const BlockRow& r : rows) {
+    const std::string stream = r.stream;
+    record.add(stream + ".block_ns_per_add", r.block_ns, "ns",
+               bench::Better::kLower);
+    record.add(stream + ".scalar_ns_per_add", r.scalar_ns, "ns",
+               bench::Better::kLower);
+    record.add(stream + ".speedup", r.scalar_ns / r.block_ns, "ratio",
+               bench::Better::kHigher);
   }
+  if (!record.write(args)) return 1;
   return bench::finish(args);
 }

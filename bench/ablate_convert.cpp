@@ -10,12 +10,11 @@
 // operator+=(double) deposits the mantissa directly into the affected limbs
 // (detail::scatter_add_double), the old convert-into-temporary + O(N) carry
 // add survives only as HpFixed::add_double_reference. This bench times both
-// on identical streams; tools/bench_smoke.py captures the ratio in
-// BENCH_scatter.json and CI fails if the fast path regresses.
+// on identical streams; tools/bench_smoke.py gates the ratio against
+// bench/BENCH_scatter.json and CI fails if the fast path regresses.
 //
 // Flags: --n (default 4M conversions), --seed, --json=PATH (write the
-// scatter ablation as BENCH_scatter.json-schema JSON; see EXPERIMENTS.md).
-#include <algorithm>
+// scatter ablation as a bench record; see EXPERIMENTS.md).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -143,41 +142,21 @@ int main(int argc, char** argv) {
       "chain dies; the reference pair materializes an N-limb temporary and "
       "pays an O(N) add per summand.\n");
 
-  // --json=PATH: the BENCH_scatter.json schema (EXPERIMENTS.md) consumed
-  // by tools/bench_smoke.py and the bench-smoke CI job.
-  const std::string json_path = args.get_string("json", "");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"ablate_convert_scatter\",\n"
-                 "  \"format\": {\"n\": 6, \"k\": 3},\n"
-                 "  \"stream_size\": %lld,\n"
-                 "  \"streams\": [\n",
-                 static_cast<long long>(n));
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"stream\": \"%s\", \"scatter_ns_per_add\": %.4f, "
-                   "\"reference_ns_per_add\": %.4f, \"speedup\": %.4f}%s\n",
-                   rows[i].stream, rows[i].scatter_ns, rows[i].reference_ns,
-                   rows[i].reference_ns / rows[i].scatter_ns,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    double min_speedup = 1e300;
-    for (const auto& r : rows) {
-      min_speedup = std::min(min_speedup, r.reference_ns / r.scatter_ns);
-    }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"min_speedup\": %.4f\n"
-                 "}\n",
-                 min_speedup);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
+  // --json=PATH: the bench record (bench/common.hpp) tools/bench_smoke.py
+  // gates against bench/BENCH_scatter.json.
+  bench::Record record("ablate_convert");
+  record.config("format", "HP(6,3)");
+  record.config("n", n);
+  record.config("seed", static_cast<std::int64_t>(seed));
+  for (const ScatterRow& r : rows) {
+    const std::string stream = r.stream;
+    record.add(stream + ".scatter_ns_per_add", r.scatter_ns, "ns",
+               bench::Better::kLower);
+    record.add(stream + ".reference_ns_per_add", r.reference_ns, "ns",
+               bench::Better::kLower);
+    record.add(stream + ".speedup", r.reference_ns / r.scatter_ns, "ratio",
+               bench::Better::kHigher);
   }
+  if (!record.write(args)) return 1;
   return bench::finish(args);
 }

@@ -14,8 +14,8 @@
 // thread machinery, not parallel speedup).
 //
 // Flags: --n (default 4M summands), --seed, --chunk (doubles per deposit,
-// default 4096), --maxshards (default 8), --json=PATH (BENCH_engine.json
-// schema consumed by tools/bench_smoke.py).
+// default 4096), --maxshards (default 8), --json=PATH (the bench record
+// tools/bench_smoke.py gates).
 #include <algorithm>
 #include <cstdio>
 #include <span>
@@ -153,15 +153,9 @@ int main(int argc, char** argv) {
   head.add_num(overhead, 3);
   bench::emit_table(head, args);
 
-  struct Point {
-    std::size_t shards;
-    double deposits_per_s;
-  };
-  std::vector<Point> points;
   util::TablePrinter sweep({"shards", "Mdeposits/s"});
   for (std::size_t s = 1; s <= maxshards; s *= 2) {
     const double rate = sweep_point(view, s, chunk);
-    points.push_back({s, rate});
     sweep.begin_row();
     sweep.add_num(static_cast<double>(s), 0);
     sweep.add_num(rate / 1e6, 2);
@@ -177,34 +171,16 @@ int main(int argc, char** argv) {
       "readers never block writers.\n",
       chunk, 6 + 1);
 
-  const std::string json_path = args.get_string("json", "");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"ablate_shards\",\n"
-                 "  \"format\": {\"n\": 6, \"k\": 3},\n"
-                 "  \"stream_size\": %lld,\n"
-                 "  \"chunk\": %zu,\n"
-                 "  \"direct_ns_per_add\": %.4f,\n"
-                 "  \"engine_ns_per_add\": %.4f,\n"
-                 "  \"overhead_ratio\": %.4f,\n"
-                 "  \"points\": [\n",
-                 static_cast<long long>(n), chunk, direct_ns, engine_ns,
-                 overhead);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"shards\": %zu, \"deposits_per_s\": %.0f}%s\n",
-                   points[i].shards, points[i].deposits_per_s,
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  // --json=PATH: the bench record (bench/common.hpp) tools/bench_smoke.py
+  // gates. The sweep stays in the printed table.
+  bench::Record record("ablate_shards");
+  record.config("format", "HP(6,3)");
+  record.config("n", n);
+  record.config("seed", static_cast<std::int64_t>(seed));
+  record.config("chunk", static_cast<std::int64_t>(chunk));
+  record.add("direct_ns_per_add", direct_ns, "ns", bench::Better::kLower);
+  record.add("engine_ns_per_add", engine_ns, "ns", bench::Better::kLower);
+  record.add("overhead_ratio", overhead, "ratio", bench::Better::kLower);
+  if (!record.write(args)) return 1;
   return bench::finish(args);
 }

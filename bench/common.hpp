@@ -6,13 +6,19 @@
 // so EXPERIMENTS.md can record the provenance of every number.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "core/hp_kernel_simd.hpp"
 #include "trace/flight.hpp"
 #include "trace/pulse.hpp"
 #include "trace/trace.hpp"
@@ -166,5 +172,92 @@ inline double time_min(int trials, const std::function<void()>& fn) {
   }
   return best;
 }
+
+/// Which way a metric improves; gates read it to tell floors from ceilings.
+enum class Better { kLower, kHigher };
+
+/// The one machine-readable bench record, written by --json=PATH
+/// (EXPERIMENTS.md "Bench records and the smoke gate"):
+///   {"bench", "config": {...}, "host": {"nproc", "simd", "trace"},
+///    "metrics": [{"metric", "value", "unit", "better"}, ...]}
+/// A record carries measurements only; what is gated, and against which
+/// bound, lives in tools/bench_smoke.py. Add every ratio right after the
+/// two absolute metrics it divides.
+class Record {
+ public:
+  explicit Record(std::string bench) : bench_(std::move(bench)) {}
+
+  void config(const std::string& key, std::int64_t value) {
+    config_.emplace_back(key, std::to_string(value));
+  }
+  void config(const std::string& key, const std::string& value) {
+    config_.emplace_back(key, "\"" + value + "\"");
+  }
+
+  void add(const std::string& metric, double value, const char* unit,
+           Better better) {
+    metrics_.push_back({metric, value, unit, better});
+  }
+
+  /// Writes the record to the --json path, if one was given. Non-finite
+  /// values are written as null, which every gate treats as missing.
+  /// Returns false when the write failed.
+  [[nodiscard]] bool write(const util::Args& args) const {
+    const std::string path = args.get_string("json", "");
+    if (path.empty()) return true;
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr || !write_to(f)) {
+      std::fprintf(stderr, "error: could not write --json file %s\n",
+                   path.c_str());
+      return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return true;
+  }
+
+ private:
+  struct Metric {
+    std::string name;
+    double value;
+    const char* unit;
+    Better better;
+  };
+
+  /// Renders the record into `f` and closes it; false on a write error.
+  bool write_to(std::FILE* f) const {
+    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"config\": {",
+                 bench_.c_str());
+    for (std::size_t i = 0; i < config_.size(); ++i) {
+      std::fprintf(f, "%s\"%s\": %s", i > 0 ? ", " : "",
+                   config_[i].first.c_str(), config_[i].second.c_str());
+    }
+    std::fprintf(f,
+                 "},\n  \"host\": {\"nproc\": %u, \"simd\": \"%s\", "
+                 "\"trace\": %s},\n  \"metrics\": [\n",
+                 std::thread::hardware_concurrency(),
+                 kernel::simd::level_name(kernel::simd::active_level()),
+                 trace::enabled() ? "true" : "false");
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
+      const Metric& m = metrics_[i];
+      char value[32] = "null";
+      if (std::isfinite(m.value)) {
+        *std::to_chars(value, value + sizeof value - 1, m.value).ptr = '\0';
+      }
+      std::fprintf(f,
+                   "    {\"metric\": \"%s\", \"value\": %s, \"unit\": \"%s\", "
+                   "\"better\": \"%s\"}%s\n",
+                   m.name.c_str(), value, m.unit,
+                   m.better == Better::kHigher ? "higher" : "lower",
+                   i + 1 < metrics_.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
+    const bool ok = std::ferror(f) == 0;
+    return std::fclose(f) == 0 && ok;
+  }
+
+  std::string bench_;
+  std::vector<std::pair<std::string, std::string>> config_;
+  std::vector<Metric> metrics_;
+};
 
 }  // namespace hpsum::bench

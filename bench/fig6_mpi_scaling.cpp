@@ -17,8 +17,7 @@
 //                 payloads always travel raw),
 //        --mode  (auto|threads|mux, default auto),
 //        --dist  (uniform|lognormal, default uniform),
-//        --json=PATH (the BENCH_mpi.json schema consumed by
-//                 tools/bench_smoke.py --fig6-json).
+//        --json=PATH (the bench record tools/bench_smoke.py gates).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -264,13 +263,18 @@ int main(int argc, char** argv) {
   bench::emit_table(table, args);
 
   // Aggregate HP wire compression over the points that actually send
-  // messages (p >= 2); p = 1 reduces in place.
+  // messages (p >= 2); p = 1 reduces in place. A sending point whose
+  // encoded bytes are not below its raw bytes never engaged the codec.
   std::uint64_t hp_raw_total = 0;
   std::uint64_t hp_enc_total = 0;
+  std::int64_t uncompressed_points = 0;
   for (const Row& row : rows) {
     if (row.ranks < 2) continue;
     hp_raw_total += row.h.stats.wire_raw_bytes;
     hp_enc_total += row.h.stats.wire_encoded_bytes;
+    if (row.h.stats.wire_encoded_bytes >= row.h.stats.wire_raw_bytes) {
+      ++uncompressed_points;
+    }
   }
   const double wire_ratio =
       hp_enc_total > 0 ? static_cast<double>(hp_raw_total) /
@@ -285,56 +289,27 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(hp_raw_total),
               static_cast<unsigned long long>(hp_enc_total), wire_ratio);
 
-  // --json=PATH: the BENCH_mpi.json schema (EXPERIMENTS.md) consumed by
-  // tools/bench_smoke.py --fig6-json and the bench-smoke CI job.
-  const std::string json_path = args.get_string("json", "");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"fig6_mpi\",\n"
-                 "  \"format\": {\"n\": 6, \"k\": 3},\n"
-                 "  \"n\": %lld,\n"
-                 "  \"dist\": \"%s\",\n"
-                 "  \"algo\": \"%s\",\n"
-                 "  \"wire\": \"%s\",\n"
-                 "  \"mode\": \"%s\",\n"
-                 "  \"points\": [\n",
-                 static_cast<long long>(n), dist.c_str(), algo_name.c_str(),
-                 wire_name.c_str(), mode_name.c_str());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      std::fprintf(
-          f,
-          "    {\"ranks\": %d, \"workers\": %d, \"t_double\": %.6f, "
-          "\"t_hp\": %.6f, \"t_hallberg\": %.6f, \"hp_messages\": %llu, "
-          "\"hp_wire_raw_bytes\": %llu, \"hp_wire_encoded_bytes\": %llu}%s\n",
-          row.ranks, row.h.stats.workers, row.d.modeled, row.h.modeled,
-          row.b.modeled,
-          static_cast<unsigned long long>(row.h.stats.messages),
-          static_cast<unsigned long long>(row.h.stats.wire_raw_bytes),
-          static_cast<unsigned long long>(row.h.stats.wire_encoded_bytes),
-          i + 1 < rows.size() ? "," : "");
-    }
-    // wire_ratio carries the bench_smoke acceptance floor (3x on sparse
-    // lognormal runs); hp_invariant is a hard gate in every configuration.
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"hp_invariant\": %s,\n"
-                 "  \"hp_wire_raw_bytes\": %llu,\n"
-                 "  \"hp_wire_encoded_bytes\": %llu,\n"
-                 "  \"wire_ratio\": %.4f\n"
-                 "}\n",
-                 hp_invariant ? "true" : "false",
-                 static_cast<unsigned long long>(hp_raw_total),
-                 static_cast<unsigned long long>(hp_enc_total), wire_ratio);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  // --json=PATH: the bench record (bench/common.hpp) tools/bench_smoke.py
+  // gates. The per-point timings stay in the printed table (and --csv).
+  bench::Record record("fig6_mpi_scaling");
+  record.config("format", "HP(6,3)");
+  record.config("n", n);
+  record.config("seed", static_cast<std::int64_t>(seed));
+  record.config("maxp", maxp);
+  record.config("dist", dist);
+  record.config("algo", algo_name);
+  record.config("wire", wire_name);
+  record.config("mode", mode_name);
+  record.add("wire_raw_bytes", static_cast<double>(hp_raw_total), "B",
+             bench::Better::kLower);
+  record.add("wire_encoded_bytes", static_cast<double>(hp_enc_total), "B",
+             bench::Better::kLower);
+  record.add("wire_ratio", wire_ratio, "ratio", bench::Better::kHigher);
+  record.add("hp_invariant", hp_invariant ? 1.0 : 0.0, "bool",
+             bench::Better::kHigher);
+  record.add("uncompressed_points", static_cast<double>(uncompressed_points),
+             "count", bench::Better::kLower);
+  if (!record.write(args)) return 1;
   if (!hp_invariant) return 1;
   return bench::finish(args);
 }

@@ -383,12 +383,15 @@ class ShardSet {
   /// reproduces the historical `for (t) total.merge(partials[t])` loop
   /// exactly, so limbs and status are bit-identical to the direct path.
   [[nodiscard]] Acc snapshot() const {
-    const auto t0 = std::chrono::steady_clock::now();
     Acc total = proto_;
     std::uint64_t retries = 0;
     std::vector<std::uint64_t> buf(words_per_shard_);
+    std::chrono::steady_clock::duration dt{};
     {
       std::lock_guard<std::mutex> lock(mutex_);
+      // Timed from lock acquisition: the latency histogram prices the
+      // tear-free collect + merge, not the wait for the registry mutex.
+      const auto t0 = std::chrono::steady_clock::now();
       if (has_retired_) total.merge(retired_);
       Acc tmp = proto_;
       for (const auto& slot : slots_) {
@@ -396,10 +399,10 @@ class ShardSet {
         Codec::load(tmp, buf.data());
         total.merge(tmp);
       }
+      dt = std::chrono::steady_clock::now() - t0;
     }
     trace::count(trace::Counter::kEngineSnapshots);
     trace::count(trace::Counter::kEngineSnapshotRetries, retries);
-    const auto dt = std::chrono::steady_clock::now() - t0;
     trace::observe(
         trace::Hist::kEngineSnapshotLatencyUs,
         static_cast<std::uint64_t>(

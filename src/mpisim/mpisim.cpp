@@ -443,7 +443,12 @@ bool Request::test() {
   if (done_) return true;
   comm_->rt_->abort_check();  // a poll loop must not spin on a dead peer
   auto msg = comm_->rt_->try_take(comm_->rank_, source_, tag_);
-  if (!msg) return false;
+  if (!msg) {
+    // On a fiber, give the worker's other ranks a turn: the sender may
+    // share this worker, and a poll loop that never yields starves it.
+    if (tl_ctx != nullptr) fiber_yield();
+    return false;
+  }
   if (msg->data.size() != bytes_) {
     throw std::logic_error("mpisim: irecv size mismatch");
   }

@@ -177,25 +177,44 @@ TEST(Mpisim, IrecvOverlapsComputeThenWaits) {
 }
 
 TEST(Mpisim, RequestTestPollsWithoutBlocking) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      int got = 0;
-      Request req = comm.irecv(1, 6, &got, sizeof got);
-      // The sender waits for our go-ahead, so the first test must fail.
-      EXPECT_FALSE(req.test());
-      const int go = 1;
-      comm.send(1, 7, &go, sizeof go);
-      while (!req.test()) {
-      }
-      EXPECT_EQ(got, 99);
-      EXPECT_TRUE(req.test());  // idempotent once done
-    } else {
-      int go = 0;
-      comm.recv(0, 7, &go, sizeof go);
-      const int payload = 99;
-      comm.isend(0, 6, &payload, sizeof payload);
-    }
-  });
+  // With one worker the multiplexed engine runs both ranks on one thread,
+  // so the sender only runs if test() yields. The poll count is capped so
+  // a test() that never yields fails instead of hanging.
+  static constexpr long kMaxPolls = 20'000'000;
+  for (const RunMode mode : {RunMode::kThreads, RunMode::kMultiplexed}) {
+    RunOptions opts;
+    opts.mode = mode;
+    opts.workers = 1;
+    run(
+        2,
+        [mode](Comm& comm) {
+          if (comm.rank() == 0) {
+            int got = 0;
+            Request req = comm.irecv(1, 6, &got, sizeof got);
+            // The sender waits for our go-ahead, so the first test must
+            // fail.
+            EXPECT_FALSE(req.test());
+            const int go = 1;
+            comm.send(1, 7, &go, sizeof go);
+            long polls = 0;
+            while (!req.test() && ++polls < kMaxPolls) {
+            }
+            const bool completed = req.done();
+            if (!completed) req.cancel();
+            ASSERT_TRUE(completed)
+                << "no message after " << kMaxPolls
+                << " polls, mode=" << static_cast<int>(mode);
+            EXPECT_EQ(got, 99);
+            EXPECT_TRUE(req.test());  // idempotent once done
+          } else {
+            int go = 0;
+            comm.recv(0, 7, &go, sizeof go);
+            const int payload = 99;
+            comm.isend(0, 6, &payload, sizeof payload);
+          }
+        },
+        opts);
+  }
 }
 
 TEST(Mpisim, ReduceDoubleLinearMatchesSequentialOrder) {

@@ -24,7 +24,7 @@ shape, not timestamps.
 
 Exit status: 0 on pass, 1 on a validation failure, 2 on usage/environment
 errors. Registered as the ``flight_smoke`` ctest when the build has
-HPSUM_TRACE=ON, and run by the flight-smoke CI job.
+HPSUM_TRACE=ON, which the release-tests CI job runs.
 """
 
 import argparse
