@@ -117,10 +117,11 @@ int main(int argc, char** argv) {
   std::printf(
       "\nreading: on a multi-core host retries fall as partials grow, and "
       "HP's spread over N=6 independent limb words (the paper's 'three "
-      "threads may lock an HP partial sum simultaneously' effect). On a "
-      "single-core host the scheduler serializes the workers, so retries "
-      "stay near zero at every partial count — what remains observable is "
-      "that correctness never depends on the partial count.\n");
+      "threads may lock an HP partial sum simultaneously' effect). When "
+      "the workers rarely overlap (fewer cores than workers, or a run too "
+      "short to contend), retries stay near zero at every partial count — "
+      "what remains observable is that correctness never depends on the "
+      "partial count.\n");
   dev.dfree(data);
   return bench::finish(args);
 }

@@ -4,9 +4,9 @@
 //
 // Paper result (dual hex-core Xeon X5650): HP costs ~37-38x double at one
 // thread; the overhead amortizes as threads are added; all three methods
-// scale with good efficiency. On this single-core host the reported times
-// are MODELED (max per-thread busy + merge; DESIGN.md §2) next to the raw
-// measured wallclock.
+// scale with good efficiency. The reported times are MODELED (max
+// per-thread busy + merge; DESIGN.md §2) next to the raw measured
+// wallclock, which is real only up to the host's core count.
 //
 // Hallberg is timed on two paths: span (HallbergSum, the integer-scatter
 // deposit) and scalar (the paper's per-summand add() loop).

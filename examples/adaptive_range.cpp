@@ -6,10 +6,11 @@
 // heavy cancellation) through three accumulators:
 //   1. a fixed HP(2,1) sized for "ordinary" data — overflows, and says so;
 //   2. plain double — silently absorbs a huge relative error;
-//   3. HpAdaptive — widens itself as the stream reveals its range and
-//      returns the exact sum.
+//   3. HpAdaptive — accumulates over the full double range and returns the
+//      exact sum, reporting the narrowest format that holds it.
 //
-// Build & run:  ./build/examples/adaptive_range
+// Build & run:  ./build/examples/adaptive_range (exits 1 if the sum is not
+// exact; registered as a ctest).
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -52,9 +53,8 @@ int main() {
   // 3. Adaptive HP.
   HpAdaptive adaptive;
   for (const double x : stream) adaptive += x;
-  std::printf("HpAdaptive       : %.6e   grew %d times to N=%d (k=%d)\n",
-              adaptive.to_double(), adaptive.growth_events(),
-              adaptive.config().n, adaptive.config().k);
+  std::printf("HpAdaptive       : %.6e   narrowest format N=%d (k=%d)\n",
+              adaptive.to_double(), adaptive.config().n, adaptive.config().k);
   std::printf("exact decimal    : %s\n",
               adaptive.to_decimal_string(40).c_str());
 

@@ -46,12 +46,12 @@ int main() {
   for (const double x : xs) shared.add(x);  // call this from any thread
   std::printf("HpAtomic result            : % .17e\n", shared.load().to_double());
 
-  // --- Don't know your data's range? HpAdaptive widens itself. ----------
+  // --- Don't know your data's range? HpAdaptive covers every double. ---
   HpAdaptive adaptive;
   adaptive += 1e18;
   adaptive += -1e-30;
   adaptive += 1e18;
-  std::printf("HpAdaptive 1e18-1e-30+1e18 : %s (format grew to N=%d, k=%d)\n",
+  std::printf("HpAdaptive 1e18-1e-30+1e18 : %s (narrowest format N=%d, k=%d)\n",
               adaptive.to_decimal_string(40).c_str(), adaptive.config().n,
               adaptive.config().k);
   return 0;

@@ -1,10 +1,10 @@
 // Strong-scaling drivers and the modeled-time report.
 //
 // The paper's Figs 5-8 measure wallclock of a p-PE global reduction on real
-// multi-core/accelerator hardware. This build host has one core, so a
-// measured wallclock with p threads is just serialization noise. Instead
-// (DESIGN.md §2) every PE measures its own CPU busy time; the driver
-// reports
+// multi-core/accelerator hardware. A measured wallclock with p threads is
+// real only up to the host's core count; past it the threads serialize.
+// So (DESIGN.md §2) every PE also measures its own CPU busy time; the
+// driver reports
 //
 //   modeled_wall(p) = max_p busy_p + merge_time
 //

@@ -1,162 +1,51 @@
 #include "core/hp_adaptive.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
-
-#include "core/hp_convert.hpp"
-#include "trace/flight.hpp"
 
 namespace hpsum {
 
 namespace {
+/// The narrowest exact window of `v`'s limbs: starts at limb `first`, has
+/// format `cfg`. Drops trailing zero fraction limbs, then leading sign-fill
+/// integer limbs while the next limb's top bit still carries the sign.
+struct Window {
+  std::size_t first;
+  HpConfig cfg;
+};
 
-/// Msb exponent: e with 2^e <= |r| < 2^(e+1).
-int msb_exponent(double r) noexcept { return std::ilogb(r); }
-
-/// Lsb exponent: the weight of the lowest set mantissa bit.
-int lsb_exponent(double r) noexcept {
-  int exp = 0;
-  const double mant = std::frexp(std::fabs(r), &exp);  // |r| = mant * 2^exp
-  const auto m53 = static_cast<std::uint64_t>(std::ldexp(mant, 53));
-  return exp - 53 + std::countr_zero(m53);
+Window narrowest(const HpDyn& v) noexcept {
+  const util::ConstLimbSpan l = v.limbs();
+  const auto int_limbs = static_cast<std::size_t>(v.config().n - v.config().k);
+  auto k = static_cast<std::size_t>(v.config().k);
+  while (k > 0 && l[int_limbs + k - 1] == 0) --k;
+  const std::size_t end = int_limbs + k;
+  const util::Limb fill = v.is_negative() ? ~util::Limb{0} : 0;
+  std::size_t first = 0;
+  while (first < int_limbs && end - first > 1 && l[first] == fill &&
+         (l[first + 1] >> 63) == (fill >> 63)) {
+    ++first;
+  }
+  return {first, HpConfig{static_cast<int>(end - first), static_cast<int>(k)}};
 }
-
 }  // namespace
 
-HpAdaptive::HpAdaptive(HpConfig initial, int max_limbs)
-    : v_(initial), max_limbs_(max_limbs) {
-  if (max_limbs_ < initial.n || max_limbs_ > kMaxLimbs) {
-    throw std::invalid_argument("HpAdaptive: bad max_limbs");
-  }
-  trace::gauge_set(trace::Gauge::kAdaptiveCurN,
-                   static_cast<std::uint64_t>(v_.cfg_.n));
-  trace::gauge_set(trace::Gauge::kAdaptiveCurK,
-                   static_cast<std::uint64_t>(v_.cfg_.k));
-}
-
-void HpAdaptive::check_cap(int new_n) const {
-  if (new_n > max_limbs_) {
-    throw std::overflow_error("HpAdaptive: growth cap reached");
-  }
-}
-
-void HpAdaptive::grow_int(int extra_limbs) {
-  check_cap(v_.cfg_.n + extra_limbs);
-  const util::Limb fill = v_.is_negative() ? ~util::Limb{0} : 0;
-  v_.limbs_.insert(v_.limbs_.begin(), static_cast<std::size_t>(extra_limbs),
-                   fill);
-  v_.cfg_.n += extra_limbs;
-  ++growth_events_;
-  trace::count(trace::Counter::kAdaptiveGrowInt);
-  trace::gauge_set(trace::Gauge::kAdaptiveCurN,
-                   static_cast<std::uint64_t>(v_.cfg_.n));
-  trace::gauge_set(trace::Gauge::kAdaptiveCurK,
-                   static_cast<std::uint64_t>(v_.cfg_.k));
-  trace::flight::instant(trace::flight::EventId::kAdaptiveGrow, /*kind=*/0,
-                         static_cast<std::uint64_t>(v_.cfg_.n));
-}
-
-void HpAdaptive::grow_frac(int extra_limbs) {
-  check_cap(v_.cfg_.n + extra_limbs);
-  v_.limbs_.insert(v_.limbs_.end(), static_cast<std::size_t>(extra_limbs), 0);
-  v_.cfg_.n += extra_limbs;
-  v_.cfg_.k += extra_limbs;
-  ++growth_events_;
-  trace::count(trace::Counter::kAdaptiveGrowFrac);
-  trace::gauge_set(trace::Gauge::kAdaptiveCurN,
-                   static_cast<std::uint64_t>(v_.cfg_.n));
-  trace::gauge_set(trace::Gauge::kAdaptiveCurK,
-                   static_cast<std::uint64_t>(v_.cfg_.k));
-  trace::flight::instant(trace::flight::EventId::kAdaptiveGrow, /*kind=*/1,
-                         static_cast<std::uint64_t>(v_.cfg_.n));
-}
-
-void HpAdaptive::recover_add_overflow(bool positive) {
-  check_cap(v_.cfg_.n + 1);
-  // The wrapped result differs from the true sum by -/+2^(64n). Prepending
-  // a limb holding the true sign extension restores it: for a positive
-  // overflow the wrapped-value extension would be all-ones, and adding the
-  // lost 2^(64n) turns exactly that limb into zero (and vice versa).
-  v_.limbs_.insert(v_.limbs_.begin(), positive ? util::Limb{0} : ~util::Limb{0});
-  v_.cfg_.n += 1;
-  ++growth_events_;
-  trace::count(trace::Counter::kAdaptiveRecoverOverflow);
-  trace::gauge_set(trace::Gauge::kAdaptiveCurN,
-                   static_cast<std::uint64_t>(v_.cfg_.n));
-  trace::gauge_set(trace::Gauge::kAdaptiveCurK,
-                   static_cast<std::uint64_t>(v_.cfg_.k));
-  trace::flight::instant(trace::flight::EventId::kAdaptiveGrow, /*kind=*/2,
-                         static_cast<std::uint64_t>(v_.cfg_.n));
-}
-
-void HpAdaptive::ensure_exponents(int e_hi, int e_lo) {
-  // Integer side: representable iff e_hi + 1 <= 64*(n-k) - 1.
-  const int int_limbs_needed = (e_hi + 2 + 63) / 64;  // ceil((e_hi+2)/64)
-  const int int_limbs = v_.cfg_.n - v_.cfg_.k;
-  if (int_limbs_needed > int_limbs) grow_int(int_limbs_needed - int_limbs);
-  // Fraction side: representable iff e_lo >= -64*k.
-  if (e_lo < 0) {
-    const int frac_limbs_needed = (-e_lo + 63) / 64;  // ceil(-e_lo/64)
-    if (frac_limbs_needed > v_.cfg_.k) grow_frac(frac_limbs_needed - v_.cfg_.k);
-  }
-}
-
 HpAdaptive& HpAdaptive::operator+=(double r) {
-  if (!std::isfinite(r)) {
-    throw std::invalid_argument("HpAdaptive: non-finite summand");
-  }
-  if (r == 0.0) return *this;
-  ensure_exponents(msb_exponent(r), lsb_exponent(r));
-  // Consume ONLY kAddOverflow: the recovery below repairs the wrapped sum,
-  // so that flag is handled, but every flag the caller already accumulated
-  // (kInexact / kInvalidOp from div_small, ...) — and any non-overflow flag
-  // this add raises — must stay sticky like in every other accumulator.
-  const HpStatus prior = v_.status();
-  v_.clear_status();
+  if (!std::isfinite(r)) throw std::invalid_argument("HpAdaptive: non-finite summand");
   v_ += r;
-  if (has(v_.status(), HpStatus::kAddOverflow)) {
-    // The running total outgrew the (now sufficient for r alone) range.
-    // Overflow direction equals the summand's sign.
-    recover_add_overflow(r > 0.0);
-  }
-  const HpStatus raised = v_.status();
-  v_.clear_status();
-  v_.status_ = prior | without(raised, HpStatus::kAddOverflow);
   return *this;
 }
 
-HpAdaptive& HpAdaptive::operator+=(const HpAdaptive& other) {
-  // Unify formats: cover both integer widths and both fraction widths.
-  HpAdaptive rhs = other;
-  const int int_limbs =
-      std::max(v_.cfg_.n - v_.cfg_.k, rhs.v_.cfg_.n - rhs.v_.cfg_.k);
-  const int frac_limbs = std::max(v_.cfg_.k, rhs.v_.cfg_.k);
-  const auto widen = [&](HpAdaptive& a) {
-    const int grow_i = int_limbs - (a.v_.cfg_.n - a.v_.cfg_.k);
-    if (grow_i > 0) a.grow_int(grow_i);
-    const int grow_f = frac_limbs - a.v_.cfg_.k;
-    if (grow_f > 0) a.grow_frac(grow_f);
-  };
-  widen(*this);
-  widen(rhs);
+HpConfig HpAdaptive::config() const noexcept { return narrowest(v_).cfg; }
 
-  const bool rhs_positive = !rhs.v_.is_negative();
-  // Same sticky-status contract as operator+=(double): consume only the
-  // kAddOverflow the recovery repairs; the caller's accumulated flags and
-  // the operand's flags stay sticky.
-  const HpStatus prior = v_.status() | rhs.v_.status();
-  v_.clear_status();
-  rhs.v_.clear_status();  // already folded into `prior`; avoid double OR
-  v_ += rhs.v_;
-  if (has(v_.status(), HpStatus::kAddOverflow)) {
-    recover_add_overflow(rhs_positive);
-  }
-  const HpStatus raised = v_.status();
-  v_.clear_status();
-  v_.status_ = prior | without(raised, HpStatus::kAddOverflow);
-  return *this;
+HpDyn HpAdaptive::value() const {
+  const Window w = narrowest(v_);
+  HpDyn out(w.cfg);
+  std::copy_n(v_.limbs().begin() + static_cast<std::ptrdiff_t>(w.first),
+              w.cfg.n, out.limbs().begin());
+  out.or_status(v_.status());
+  return out;
 }
 
 }  // namespace hpsum

@@ -1,18 +1,9 @@
-// HpAdaptive — runtime-adaptive precision (the paper's §V future work).
-//
-// The one flaw the paper concedes in the HP method is that the user must
-// know the dynamic range of the summands a priori and size N and k to fit.
-// HpAdaptive removes that requirement: it starts from a small format and
-// widens itself whenever
-//   - a summand's magnitude exceeds the current range   -> grow integer side,
-//   - a summand has bits below the current lsb          -> grow fraction side,
-//   - the running total overflows during an add          -> grow by one limb
-//     and algebraically repair the wrapped sum (two's-complement wrap is by
-//     exactly 2^(64n), so the true value is recoverable).
-//
-// Sums remain exact and order-invariant *as values*; note that unlike
-// HpFixed, the limb image depends on the growth history, so invariance is of
-// the numeric value (compare via to_double()/decimal), not the byte image.
+// HpAdaptive — exact sums with no a-priori range (the paper's §V future
+// work). The paper's one conceded flaw is that N and k must be sized from
+// the summands' range in advance. HpAdaptive needs no growth logic instead:
+// it accumulates in kFullRange, which holds every finite double exactly,
+// and narrows only when the format is read. Width costs nothing per
+// summand, and the limb image, not just the value, is order-invariant.
 #pragma once
 
 #include <cstdint>
@@ -22,71 +13,37 @@
 
 namespace hpsum {
 
-/// Self-widening exact accumulator.
+/// Exact accumulator over the full double range.
 class HpAdaptive {
  public:
-  /// Starts with `initial` format; never grows past `max_limbs` total limbs
-  /// (throws std::overflow_error if forced to).
-  explicit HpAdaptive(HpConfig initial = HpConfig{2, 1},
-                      int max_limbs = kMaxLimbs);
-
-  /// Adds a double exactly, widening the format as needed.
-  /// Throws std::invalid_argument for NaN/Inf, std::overflow_error at the
-  /// growth cap.
+  /// Adds a double exactly. Throws std::invalid_argument for NaN/Inf.
   HpAdaptive& operator+=(double r);
-
-  /// Subtracts a double exactly.
   HpAdaptive& operator-=(double r) { return *this += -r; }
 
-  /// Adds another adaptive value exactly (formats are unified first).
-  HpAdaptive& operator+=(const HpAdaptive& other);
+  /// Adds another value exactly; ORs in its sticky status.
+  HpAdaptive& operator+=(const HpAdaptive& o) { v_ += o.v_; return *this; }
 
-  /// Rounds to the nearest double.
   [[nodiscard]] double to_double() const noexcept { return v_.to_double(); }
-
-  /// Exact decimal rendering.
   [[nodiscard]] std::string to_decimal_string(std::size_t max_frac_digits = 0) const {
     return v_.to_decimal_string(max_frac_digits);
   }
 
-  /// Divides by a small positive integer exactly at lsb resolution (see
-  /// HpDyn::div_small); returns the remainder in lsb units. Raises the same
-  /// sticky kInexact / kInvalidOp flags as the fixed-format accumulators.
+  /// HpDyn::div_small at the kFullRange lsb, 2^-1088: the remainder is in
+  /// those units, and truncation below it raises sticky kInexact.
   std::uint64_t div_small(std::uint64_t d) noexcept { return v_.div_small(d); }
 
-  /// Sticky status accumulated since the last clear. Flags other than the
-  /// kAddOverflow consumed by the wrap-repair recovery (which is handled,
-  /// not dropped) stay sticky across adds, exactly as on HpFixed/HpDyn.
   [[nodiscard]] HpStatus status() const noexcept { return v_.status(); }
-
-  /// Clears the sticky status.
   void clear_status() noexcept { v_.clear_status(); }
 
-  /// Current format (grows over time).
-  [[nodiscard]] HpConfig config() const noexcept { return v_.config(); }
+  /// The narrowest format holding the value exactly: zero is {1,0}, 0.5
+  /// is {2,1}.
+  [[nodiscard]] HpConfig config() const noexcept;
 
-  /// The underlying value.
-  [[nodiscard]] const HpDyn& value() const noexcept { return v_; }
-
-  /// Number of widenings performed so far (observability for tests and the
-  /// ablate_adaptive bench).
-  [[nodiscard]] int growth_events() const noexcept { return growth_events_; }
+  /// The value and sticky status in config()'s format.
+  [[nodiscard]] HpDyn value() const;
 
  private:
-  /// Ensures the format can hold a value with msb exponent `e_hi` and lsb
-  /// exponent `e_lo` (both inclusive), growing as needed.
-  void ensure_exponents(int e_hi, int e_lo);
-  void grow_int(int extra_limbs);
-  void grow_frac(int extra_limbs);
-  /// Repairs a just-wrapped addition: widen by one integer limb whose fill
-  /// is the true sign (`positive`), which algebraically re-adds the lost
-  /// +/-2^(64n).
-  void recover_add_overflow(bool positive);
-  void check_cap(int new_n) const;
-
-  HpDyn v_;
-  int max_limbs_;
-  int growth_events_ = 0;
+  HpDyn v_{kFullRange};
 };
 
 }  // namespace hpsum

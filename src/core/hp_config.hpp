@@ -17,9 +17,10 @@
 
 namespace hpsum {
 
-/// Hard cap on limbs per HP number (2048 bits). Keeps scratch buffers on
-/// the stack and bounds the float-scaling conversion path's exponents.
-inline constexpr int kMaxLimbs = 32;
+/// Hard cap on limbs per HP number (2176 bits, enough for kFullRange).
+/// Sizes the per-call and per-flush stack scratch buffers; no accumulator
+/// carries kMaxLimbs words per summand.
+inline constexpr int kMaxLimbs = 34;
 
 /// Runtime HP format descriptor. For compile-time formats see HpFixed<N,K>.
 struct HpConfig {
@@ -28,6 +29,14 @@ struct HpConfig {
 
   friend constexpr bool operator==(const HpConfig&, const HpConfig&) = default;
 };
+
+/// The format that holds every finite double exactly: a double's msb
+/// exponent is at most 1023 and its lsb exponent at least -1074, and
+/// 17 integer + 17 fraction limbs span (-2^1087, 2^1087) on a 2^-1088
+/// grid. The 63 spare integer bits mean no sum of up to 2^63 finite
+/// doubles can overflow (suggest_config's coarser bound admits 2^62).
+/// HpAdaptive accumulates in this format.
+inline constexpr HpConfig kFullRange{34, 17};
 
 /// Validates 1 <= n and 0 <= k <= n; throws std::invalid_argument otherwise.
 constexpr void validate(const HpConfig& cfg) {

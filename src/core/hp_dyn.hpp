@@ -131,7 +131,6 @@ class HpDyn {
   void from_bytes(const std::byte* in) noexcept;
 
  private:
-  friend class HpAdaptive;
   HpConfig cfg_;
   std::vector<util::Limb> limbs_;
   HpStatus status_ = HpStatus::kOk;

@@ -1,8 +1,8 @@
 // hp_kernel — the single home of the paper's limb-level arithmetic.
 //
-// Every accumulation path in the tree (HpFixed, HpDyn, HpAtomic, HpAdaptive
-// recovery, reduce_hp, the backends' HpSum, rblas, and the mpisim / cudasim /
-// phisim reductions) routes through the primitives in this header; hplint
+// Every accumulation path in the tree (HpFixed, HpDyn, HpAtomic, HpAdaptive,
+// reduce_hp, the backends' HpSum, rblas, and the mpisim / cudasim / phisim
+// reductions) routes through the primitives in this header; hplint
 // rule L6 (duplicate-kernel) mechanically bans re-implementations elsewhere.
 // The layering is:
 //

@@ -5,7 +5,8 @@
 // sizing calculation. This header makes it executable: describe your data
 // (magnitude bounds, summand count) and get the minimal HpConfig that
 // guarantees an exact, overflow-free sum; or scan actual data and get the
-// format it needs. HpAdaptive remains the fallback when nothing is known.
+// format it needs. When nothing is known, HpAdaptive sums in kFullRange,
+// the format suggest_config returns for the whole double range.
 #pragma once
 
 #include <cstdint>

@@ -59,15 +59,6 @@ constexpr HpStatus& operator|=(HpStatus& a, HpStatus b) noexcept {
   return a;
 }
 
-/// Removes the flags of `b` from `a` — for consuming a condition that has
-/// been handled (e.g. HpAdaptive repairing kAddOverflow) while leaving
-/// every other flag sticky.
-constexpr HpStatus without(HpStatus a, HpStatus b) noexcept {
-  return static_cast<HpStatus>(
-      static_cast<std::uint8_t>(a) &
-      static_cast<std::uint8_t>(~static_cast<std::uint8_t>(b)));
-}
-
 /// Tests whether `a` contains all flags of `b`.
 constexpr bool has(HpStatus a, HpStatus b) noexcept {
   return (static_cast<std::uint8_t>(a) & static_cast<std::uint8_t>(b)) ==

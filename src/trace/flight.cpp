@@ -218,15 +218,6 @@ void append_args(std::string& out, const Event& e) {
       append_kv(out, "reduction_id", e.arg0);
       append_kv(out, "threads", e.arg1, false);
       break;
-    case EventId::kAdaptiveGrow: {
-      out += "\"kind\": \"";
-      out += e.arg0 == 0 ? "grow_int"
-             : e.arg0 == 1 ? "grow_frac"
-                           : "recover_add_overflow";
-      out += "\", ";
-      append_kv(out, "limbs", e.arg1, false);
-      break;
-    }
     case EventId::kStatusRaise: {
       out += "\"status\": \"";
       append_escaped(out, to_string(static_cast<HpStatus>(
@@ -313,7 +304,6 @@ std::string_view event_name(EventId id) noexcept {
     case EventId::kCudaMemcpyH2D: return "cuda.memcpy_h2d";
     case EventId::kCudaMemcpyD2H: return "cuda.memcpy_d2h";
     case EventId::kPhiOffload: return "phi.offload";
-    case EventId::kAdaptiveGrow: return "adaptive.grow";
     case EventId::kStatusRaise: return "status.raise";
     case EventId::kCount: break;
   }
@@ -495,7 +485,7 @@ bool dump_binary(const std::string& path) {
   const std::vector<ThreadEvents> threads = collect();
   std::string out;
   out += "HPFLIGT1";
-  put_u32(out, 1);  // format version
+  put_u32(out, 2);  // format version
   put_u32(out, static_cast<std::uint32_t>(threads.size()));
   for (const ThreadEvents& te : threads) {
     const std::string& label = te.track.label;

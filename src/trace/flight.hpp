@@ -69,8 +69,6 @@ enum class EventId : std::uint16_t {
   kCudaMemcpyH2D,  ///< span: host->device copy. arg0=reduction id, arg1=bytes
   kCudaMemcpyD2H,  ///< span: device->host copy. arg0=reduction id, arg1=bytes
   kPhiOffload,     ///< span: coprocessor upload. arg0=reduction id, arg1=bytes
-  kAdaptiveGrow,   ///< instant: HpAdaptive widened. arg0=kind (0 int, 1 frac,
-                   ///  2 overflow recovery), arg1=new total limb count
   kStatusRaise,    ///< instant: a kernel raised sticky status. arg0=HpStatus
                    ///  mask, arg1=reduction id
   kCount           ///< sentinel, keep last

@@ -111,9 +111,6 @@ std::string_view counter_name(Counter c) noexcept {
     case Counter::kAtomicCasAdds: return "atomic.cas.adds";
     case Counter::kAtomicCasRetries: return "atomic.cas.retries";
     case Counter::kAtomicFetchAddAdds: return "atomic.fetch_add.adds";
-    case Counter::kAdaptiveGrowInt: return "adaptive.grow_int";
-    case Counter::kAdaptiveGrowFrac: return "adaptive.grow_frac";
-    case Counter::kAdaptiveRecoverOverflow: return "adaptive.recover_add_overflow";
     case Counter::kBackendReductions: return "backends.reductions";
     case Counter::kBackendBusyNs: return "backends.busy_ns";
     case Counter::kBackendMergeNs: return "backends.merge_ns";
@@ -162,8 +159,6 @@ std::string_view hist_name(Hist h) noexcept {
 std::string_view gauge_name(Gauge g) noexcept {
   switch (g) {
     case Gauge::kAccLimbOccupancy: return "core.block.limb_occupancy";
-    case Gauge::kAdaptiveCurN: return "adaptive.cur_n";
-    case Gauge::kAdaptiveCurK: return "adaptive.cur_k";
     case Gauge::kCount: break;
   }
   return "unknown";

@@ -3,7 +3,7 @@
 // The library's behavioral contract (bit-exact, order-invariant sums with
 // sticky status) is invisible at runtime without counters: CAS retry
 // pressure in HpAtomic, carry-chain lengths in the scatter-add fast path,
-// HpAdaptive growth events, and per-backend bytes/busy time all decide
+// and per-backend bytes/busy time all decide
 // whether a deployment is healthy, yet none of them used to be observable
 // outside ad-hoc bench printouts. This layer is the one place such numbers
 // flow through (tools/hplint rule L5 flags raw printf/timer telemetry in
@@ -17,8 +17,8 @@
 //     bucket absorbs the tail) plus an exact count and sum per histogram —
 //     distributions, not just totals, for carry-chain lengths, reduce_hp
 //     latency, CAS retries per add, message bytes, and flush depth.
-//   - Gauge: last-write-wins current values (live limb occupancy,
-//     HpAdaptive's current (n,k)) held in process-global atomic slots; a
+//   - Gauge: last-write-wins current values (live limb occupancy) held
+//     in process-global atomic slots; a
 //     gauge read is tear-free because it is one 64-bit relaxed load.
 //
 // Design:
@@ -92,10 +92,6 @@ enum class Counter : std::uint16_t {
   kAtomicCasAdds,         ///< add() calls (CAS-loop adder)
   kAtomicCasRetries,      ///< failed compare_exchange attempts
   kAtomicFetchAddAdds,    ///< add_fetch_add() calls (ablation adder)
-  // HpAdaptive — growth events.
-  kAdaptiveGrowInt,
-  kAdaptiveGrowFrac,
-  kAdaptiveRecoverOverflow,
   // backends — span timers routed through the registry (nanoseconds).
   kBackendReductions,     ///< run_threads/run_openmp invocations
   kBackendBusyNs,         ///< summed per-PE busy time
@@ -163,8 +159,6 @@ inline constexpr std::size_t kHistBuckets = 48;
 enum class Gauge : std::uint16_t {
   kAccLimbOccupancy = 0,  ///< nonzero limbs of the most recently flushed
                           ///  block accumulator (live density indicator)
-  kAdaptiveCurN,          ///< HpAdaptive current total limb count n
-  kAdaptiveCurK,          ///< HpAdaptive current fraction limb count k
   kCount  ///< sentinel, keep last
 };
 
@@ -175,7 +169,7 @@ inline constexpr std::size_t kGaugeCount =
 [[nodiscard]] std::string_view counter_name(Counter c) noexcept;
 /// Stable dotted export name, e.g. "core.scatter_add.carry_chain".
 [[nodiscard]] std::string_view hist_name(Hist h) noexcept;
-/// Stable dotted export name, e.g. "adaptive.cur_n".
+/// Stable dotted export name, e.g. "core.block.limb_occupancy".
 [[nodiscard]] std::string_view gauge_name(Gauge g) noexcept;
 
 /// Inverse of counter_name: resolves a dotted export name back to its

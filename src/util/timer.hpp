@@ -1,8 +1,9 @@
 // Wallclock and per-thread CPU timers.
 //
-// The scaling harness reports *modeled* parallel time on this single-core
-// host (DESIGN.md §2): each processing element measures its own busy time
-// with ThreadCpuTimer, and the harness takes the max as the critical path.
+// The scaling harness reports *modeled* parallel time (DESIGN.md §2) next
+// to measured wallclock: each processing element measures its own busy
+// time with ThreadCpuTimer, and the harness takes the max as the critical
+// path, which stays meaningful past the host's core count.
 #pragma once
 
 #include <chrono>

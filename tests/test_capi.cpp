@@ -25,6 +25,10 @@ TEST(CApi, InvalidParamsGiveNull) {
   EXPECT_EQ(hpsum_create(0, 0), nullptr);
   EXPECT_EQ(hpsum_create(3, 4), nullptr);
   EXPECT_EQ(hpsum_create(100, 1), nullptr);
+  EXPECT_EQ(hpsum_create(35, 17), nullptr);  // one limb past the cap
+  hpsum_t* full = hpsum_create(34, 17);     // the full-range format
+  ASSERT_NE(full, nullptr);
+  hpsum_destroy(full);
 }
 
 TEST(CApi, NullHandlesAreSafe) {

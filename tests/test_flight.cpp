@@ -52,7 +52,7 @@ TEST(TraceFlightArming, DisarmedByDefaultAndRecordsNothing) {
   flight::disarm();
   flight::reset();
   EXPECT_FALSE(flight::armed());
-  flight::instant(flight::EventId::kAdaptiveGrow, 1, 2);
+  flight::instant(flight::EventId::kStatusRaise, 1, 2);
   {
     const flight::Span s(flight::EventId::kMerge, 3, 4);
   }
@@ -78,7 +78,7 @@ TEST(TraceFlightRecorder, SpanAndInstantRecordsCarryArgs) {
   flight::set_track("test", 7, 3);
   {
     const flight::Span span(flight::EventId::kMerge, 11, 22);
-    flight::instant(flight::EventId::kAdaptiveGrow, 1, 6);
+    flight::instant(flight::EventId::kStatusRaise, 1, 6);
   }
   const auto threads = flight::collect();
   if constexpr (trace::enabled()) {
@@ -95,7 +95,7 @@ TEST(TraceFlightRecorder, SpanAndInstantRecordsCarryArgs) {
     EXPECT_EQ(b.arg0, 11u);
     EXPECT_EQ(b.arg1, 22u);
     EXPECT_EQ(static_cast<flight::EventId>(i.id),
-              flight::EventId::kAdaptiveGrow);
+              flight::EventId::kStatusRaise);
     EXPECT_EQ(static_cast<flight::Phase>(i.phase), flight::Phase::kInstant);
     EXPECT_EQ(static_cast<flight::Phase>(e.phase), flight::Phase::kEnd);
     EXPECT_EQ(e.arg0, 11u);  // span end repeats the begin args
@@ -152,9 +152,9 @@ TEST(TraceFlightRecorder, CollectLastKKeepsTheNewestTail) {
 
 TEST(TraceFlightRecorder, ResetDropsRetainedEvents) {
   const ArmedScope armed;
-  flight::instant(flight::EventId::kAdaptiveGrow, 0, 1);
+  flight::instant(flight::EventId::kStatusRaise, 0, 1);
   std::thread([] {
-    flight::instant(flight::EventId::kAdaptiveGrow, 1, 1);
+    flight::instant(flight::EventId::kStatusRaise, 1, 1);
   }).join();  // retires into the registry
   if constexpr (trace::enabled()) {
     EXPECT_FALSE(flight::collect().empty());
@@ -314,7 +314,7 @@ TEST(TraceFlightExport, DumpChromeJsonFailurePathReturnsFalse) {
 TEST(TraceFlightExport, BinaryDumpPinsMagicVersionAndRecordLayout) {
   const ArmedScope armed;
   flight::set_track("bintest", 2, 1);
-  flight::instant(flight::EventId::kAdaptiveGrow, 1, 9);
+  flight::instant(flight::EventId::kStatusRaise, 1, 9);
 
   EXPECT_FALSE(flight::dump_binary(""));   // stdout is invalid for binary
   EXPECT_FALSE(flight::dump_binary("-"));
@@ -336,7 +336,7 @@ TEST(TraceFlightExport, BinaryDumpPinsMagicVersionAndRecordLayout) {
     std::memcpy(&v, bytes.data() + off, sizeof v);  // host is little-endian
     return v;
   };
-  EXPECT_EQ(u32_at(8), 1u);  // format version
+  EXPECT_EQ(u32_at(8), 2u);  // format version
   const std::uint32_t nthreads = u32_at(12);
   if constexpr (trace::enabled()) {
     ASSERT_EQ(nthreads, 1u);
@@ -357,7 +357,7 @@ TEST(TraceFlightExport, BinaryDumpPinsMagicVersionAndRecordLayout) {
     flight::Event ev;
     std::memcpy(&ev, bytes.data() + off + 16, sizeof ev);
     EXPECT_EQ(static_cast<flight::EventId>(ev.id),
-              flight::EventId::kAdaptiveGrow);
+              flight::EventId::kStatusRaise);
     EXPECT_EQ(ev.arg0, 1u);
     EXPECT_EQ(ev.arg1, 9u);
   } else {

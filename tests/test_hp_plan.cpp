@@ -102,11 +102,14 @@ TEST(HpPlan, RejectsBadInputs) {
 }
 
 TEST(HpPlan, UnsatisfiablePlanThrows) {
-  // Full double range + subnormal resolution needs ~2100 bits > kMaxLimbs.
+  // Full double range + subnormal resolution is exactly kFullRange, the
+  // widest format; 2^64 such summands need an 18th integer limb.
   SumPlan plan;
   plan.max_abs = std::numeric_limits<double>::max();
   plan.min_abs = 0.0;
   plan.summands = 1;
+  EXPECT_EQ(suggest_config(plan), kFullRange);
+  plan.summands = std::numeric_limits<std::uint64_t>::max();
   EXPECT_THROW((void)suggest_config(plan), std::invalid_argument);
 }
 

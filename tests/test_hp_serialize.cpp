@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -71,6 +72,22 @@ TEST(HpSerialize, RejectsCorruptImages) {
   bad = bytes;
   bad.pop_back();  // truncated
   EXPECT_THROW(deserialize(bad), std::invalid_argument);
+}
+
+TEST(HpSerialize, FullRangeRoundTripsAndWiderIsRejected) {
+  HpDyn v(kFullRange);
+  v += std::numeric_limits<double>::max();
+  v -= std::numeric_limits<double>::denorm_min();
+  const auto bytes = serialize(v);
+  ASSERT_EQ(bytes.size(), serialized_size(kFullRange));
+  EXPECT_EQ(deserialize(bytes), v);
+
+  // A well-sized image one limb past kMaxLimbs is still rejected.
+  auto wide = bytes;
+  wide[3] = std::byte{kMaxLimbs + 1};
+  wide.resize(wide.size() + 8, std::byte{0});
+  ASSERT_EQ(wide.size(), serialized_size(HpConfig{kMaxLimbs + 1, 17}));
+  EXPECT_THROW(deserialize(wide), std::invalid_argument);
 }
 
 TEST(HpSerialize, RejectsUndefinedStatusBits) {

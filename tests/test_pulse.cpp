@@ -63,7 +63,7 @@ TEST(PulseRender, TickEmitsSparseDeltasAndEveryGauge) {
   hd.count = 2;
   hd.sum = 12;
   hd.buckets[4] = 2;
-  d.gauges[idx(trace::Gauge::kAdaptiveCurN)] = 6;
+  d.gauges[idx(trace::Gauge::kAccLimbOccupancy)] = 6;
 
   const std::string line = pulse::jsonl_tick(d, 999, 7);
   EXPECT_NE(line.find("\"seq\": 7"), std::string::npos) << line;
@@ -85,7 +85,7 @@ TEST(PulseRender, TickEmitsSparseDeltasAndEveryGauge) {
         '"';
     EXPECT_NE(line.find(key), std::string::npos) << key;
   }
-  EXPECT_NE(line.find("\"adaptive.cur_n\": 6"), std::string::npos);
+  EXPECT_NE(line.find("\"core.block.limb_occupancy\": 6"), std::string::npos);
 }
 
 TEST(PulseRender, PrometheusCumulativeBucketsSuffixesAndNames) {
@@ -96,7 +96,7 @@ TEST(PulseRender, PrometheusCumulativeBucketsSuffixesAndNames) {
   hd.buckets[3] = 2;  // values 4..7
   hd.count = 3;
   hd.sum = 12;
-  t.gauges[idx(trace::Gauge::kAdaptiveCurN)] = 6;
+  t.gauges[idx(trace::Gauge::kAccLimbOccupancy)] = 6;
 
   const std::string out = pulse::to_prometheus(t);
   EXPECT_NE(out.find("# TYPE hpsum_core_scatter_add_calls counter\n"
@@ -111,11 +111,11 @@ TEST(PulseRender, PrometheusCumulativeBucketsSuffixesAndNames) {
             std::string::npos);
   EXPECT_NE(out.find("hpsum_mpisim_msg_bytes_sum 12\n"), std::string::npos);
   EXPECT_NE(out.find("hpsum_mpisim_msg_bytes_count 3\n"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE hpsum_adaptive_cur_n gauge\nhpsum_adaptive_cur_n"
-                     " 6\n"),
+  EXPECT_NE(out.find("# TYPE hpsum_core_block_limb_occupancy gauge\n"
+                     "hpsum_core_block_limb_occupancy 6\n"),
             std::string::npos);
   // Every catalog entry gets a TYPE line even at zero.
-  EXPECT_NE(out.find("# TYPE hpsum_core_block_limb_occupancy gauge"),
+  EXPECT_NE(out.find("# TYPE hpsum_core_reference_add_calls counter"),
             std::string::npos);
 }
 
@@ -135,7 +135,7 @@ TEST(PulseLifecycle, ArmTickDisarmProducesStreamAndExposition) {
 
   trace::count(trace::Counter::kScatterAddCalls, 10);
   trace::observe(trace::Hist::kMpisimMsgBytes, 64);
-  trace::gauge_set(trace::Gauge::kAdaptiveCurN, 6);
+  trace::gauge_set(trace::Gauge::kAccLimbOccupancy, 6);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   pulse::disarm();

@@ -112,7 +112,7 @@ TEST(TraceCatalog, HistAndGaugeCatalogsAreUniqueAndRoundTrip) {
   EXPECT_FALSE(
       trace::counter_from_name("core.scatter_add.carry_chain_len1").has_value());
   EXPECT_FALSE(trace::hist_from_name("").has_value());
-  EXPECT_FALSE(trace::gauge_from_name("adaptive.cur").has_value());
+  EXPECT_FALSE(trace::gauge_from_name("core.block.limb").has_value());
 }
 
 TEST(TraceHistogram, BucketSchemeIsLog2WithZeroBucketAndTailClamp) {
@@ -158,16 +158,16 @@ TEST(TraceHistogram, ObserveAccountsBucketsCountAndSumExactly) {
 }
 
 TEST(TraceGauge, GaugeIsLastWriteWins) {
-  trace::gauge_set(trace::Gauge::kAdaptiveCurN, 6);
-  trace::gauge_set(trace::Gauge::kAdaptiveCurN, 9);
+  trace::gauge_set(trace::Gauge::kAccLimbOccupancy, 6);
+  trace::gauge_set(trace::Gauge::kAccLimbOccupancy, 9);
   const trace::Snapshot snap = trace::snapshot();
   if constexpr (trace::enabled()) {
-    EXPECT_EQ(snap.gauge(trace::Gauge::kAdaptiveCurN), 9u);
+    EXPECT_EQ(snap.gauge(trace::Gauge::kAccLimbOccupancy), 9u);
   } else {
-    EXPECT_EQ(snap.gauge(trace::Gauge::kAdaptiveCurN), 0u);
+    EXPECT_EQ(snap.gauge(trace::Gauge::kAccLimbOccupancy), 0u);
   }
   trace::reset();
-  EXPECT_EQ(trace::snapshot().gauge(trace::Gauge::kAdaptiveCurN), 0u);
+  EXPECT_EQ(trace::snapshot().gauge(trace::Gauge::kAccLimbOccupancy), 0u);
 }
 
 TEST(TraceCatalog, SnapshotValueByNameMatchesValueByEnum) {

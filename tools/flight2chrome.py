@@ -7,7 +7,7 @@ the bench harnesses). This tool turns the latter into the former, byte
 layout per docs/OBSERVABILITY.md:
 
   magic   8 bytes  "HPFLIGT1"
-  u32     format version (1)
+  u32     format version (2)
   u32     thread count
   per thread:
     u16   label length, then that many label bytes (UTF-8)
@@ -39,7 +39,7 @@ import struct
 import sys
 
 MAGIC = b"HPFLIGT1"
-VERSION = 1
+VERSION = 2
 EVENT_STRUCT = struct.Struct("<QHHIQQ")  # ts_ns, id, phase, reserved, a0, a1
 
 # Mirrors flight::event_name / EventId in src/trace/flight.hpp.
@@ -55,11 +55,8 @@ EVENT_NAMES = [
     "cuda.memcpy_h2d",  # 8
     "cuda.memcpy_d2h",  # 9
     "phi.offload",      # 10
-    "adaptive.grow",    # 11
-    "status.raise",     # 12
+    "status.raise",     # 11
 ]
-
-GROW_KINDS = {0: "grow_int", 1: "grow_frac", 2: "recover_add_overflow"}
 
 # Sticky-status bit names, mirroring core/hp_status.hpp's to_string.
 STATUS_BITS = [
@@ -122,8 +119,6 @@ def decode_args(event_id, a0, a1):
         return {"reduction_id": a0, "bytes": a1}
     if name == "cuda.launch":
         return {"reduction_id": a0, "threads": a1}
-    if name == "adaptive.grow":
-        return {"kind": GROW_KINDS.get(a0, f"kind{a0}"), "limbs": a1}
     if name == "status.raise":
         return {"status": status_string(a0 & STATUS_MASK), "mask": a0,
                 "reduction_id": a1}

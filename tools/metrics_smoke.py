@@ -42,7 +42,6 @@ REQUIRED = [
     "core.status_raise.inexact",
     "atomic.cas.adds",
     "atomic.cas.retries",
-    "adaptive.grow_int",
     "backends.reductions",
 ]
 NONZERO = [
@@ -58,8 +57,6 @@ REQUIRED_HISTS = [
 ]
 REQUIRED_GAUGES = [
     "core.block.limb_occupancy",
-    "adaptive.cur_n",
-    "adaptive.cur_k",
 ]
 # Must match trace::kHistBuckets.
 HIST_BUCKETS = 48
