@@ -8,13 +8,20 @@
 // operator+=(double) loop; this bench first verifies that on every stream
 // it times (exit 1 on any mismatch), then measures ns/summand for both
 // paths. Streams: the paper's uniform set as all-positive, all-negative
-// and mixed-sign, plus the wide-range set (exponents -120..100), whose
-// batches straddle limbs and take the per-lane deposit.
+// and mixed-sign, plus the wide-range set (exponents -120..100), which
+// spreads every block over ~220 exponents and all six limbs. A span
+// sweep then deposits the uniform and wide streams in spans of 64 to
+// 4096 summands and whole, through the dispatched block path, the chunk
+// deposit alone and simd::accumulate alone: the price of the chunk fold,
+// and the evidence for kernel::kChunkMinSpan.
 //
 // Flags: --n (default 4M summands), --seed, --json=PATH (write the bench
 // record tools/bench_smoke.py gates; see EXPERIMENTS.md).
+#include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -61,6 +68,42 @@ struct BlockRow {
   const char* stream;
   double block_ns;
   double scalar_ns;
+};
+
+/// One span-sweep deposit entry point: the raw kernel signature shared by
+/// kernel::block_accumulate, kernel::chunk_accumulate and
+/// kernel::simd::accumulate.
+using SpanDeposit = HpStatus (*)(util::Limb*, kernel::U128*, kernel::U128*,
+                                 int, int, int&, int&,
+                                 std::span<const double>);
+
+/// HP(6,3) limbs of `xs` deposited through `deposit` in consecutive spans
+/// of `span` summands into one block state, flushed once at the end, with
+/// the sticky status appended as a seventh word.
+std::vector<util::Limb> deposit_spans(const std::vector<double>& xs,
+                                      std::size_t span, SpanDeposit deposit) {
+  std::vector<util::Limb> a(6, 0);
+  kernel::U128 pos[7] = {};
+  kernel::U128 neg[7] = {};
+  int bound = 0;
+  int pending = 0;
+  HpStatus st = HpStatus::kOk;
+  const std::span<const double> all(xs.data(), xs.size());
+  for (std::size_t i = 0; i < all.size(); i += span) {
+    st |= deposit(a.data(), pos, neg, 6, 3, bound, pending,
+                  all.subspan(i, std::min(span, all.size() - i)));
+  }
+  kernel::block_flush(a.data(), pos, neg, 6, bound, pending);
+  a.push_back(static_cast<util::Limb>(st));
+  return a;
+}
+
+struct SweepRow {
+  std::string stream;
+  std::string span;  ///< summands per span, or "whole"
+  double block_ns;
+  double chunk_ns;
+  double simd_ns;
 };
 
 }  // namespace
@@ -116,20 +159,77 @@ int main(int argc, char** argv) {
   row("all-negative", negative);
   row("mixed", mixed);
   row("wide", wide);
+
+  // The span sweep prices the chunk fold: the same stream deposited in
+  // spans of one length through the dispatched block path, the chunk
+  // deposit alone and simd::accumulate alone. The fold walks the span's
+  // touched exponent range once per block, so short spans pay it over
+  // few summands; kChunkMinSpan sits where the chunk column starts
+  // winning on the wide stream.
+  util::TablePrinter sweep({"stream", "span", "block ns/add", "chunk ns/add",
+                            "simd ns/add"});
+  std::vector<SweepRow> sweep_rows;
+  for (const auto& [label, xs] :
+       {std::pair<const char*, const std::vector<double>*>{"uniform", &mixed},
+        {"wide", &wide}}) {
+    const std::vector<util::Limb> ref =
+        deposit_spans(*xs, xs->size(), &kernel::block_accumulate);
+    for (const std::size_t span :
+         {std::size_t{64}, std::size_t{256}, std::size_t{512},
+          std::size_t{1024}, std::size_t{4096}, xs->size()}) {
+      const auto time_path = [&](SpanDeposit deposit) {
+        if (deposit_spans(*xs, span, deposit) != ref) {
+          std::fprintf(stderr,
+                       "ablate_block: span-%zu deposits diverge on the %s "
+                       "stream — refusing to time a wrong kernel\n",
+                       span, label);
+          all_identical = false;
+          return 0.0;
+        }
+        return 1e9 *
+               bench::time_min(3,
+                               [&] {
+                                 bench::sink(static_cast<double>(
+                                     deposit_spans(*xs, span, deposit)[0]));
+                               }) /
+               static_cast<double>(xs->size());
+      };
+      const SweepRow r{
+          label, span == xs->size() ? "whole" : std::to_string(span),
+          time_path(&kernel::block_accumulate),
+          time_path(&kernel::chunk_accumulate),
+          time_path(&kernel::simd::accumulate)};
+      sweep_rows.push_back(r);
+      sweep.begin_row();
+      sweep.add_cell(r.stream);
+      sweep.add_cell(r.span);
+      sweep.add_num(r.block_ns, 4);
+      sweep.add_num(r.chunk_ns, 4);
+      sweep.add_num(r.simd_ns, 4);
+    }
+  }
   if (!all_identical) return 1;
   bench::emit_table(table, args);
+  std::printf("\nspan sweep (HP(6,3), one block state, spans deposited in "
+              "stream order; kChunkMinSpan = %zu):\n",
+              kernel::kChunkMinSpan);
+  bench::emit_table(sweep, args);
   std::printf(
       "\nreading: the block path wins twice over the scalar loop. It "
       "removes the sign-dependent carry/borrow branch per summand, which "
-      "shows most on the mixed-sign stream (the paper's workload), where "
-      "the scalar path's sign branch mispredicts; and when the SIMD "
-      "deposit path is active (simd level \"%s\" here), it decomposes "
-      "kWidth summands per batch in vector lanes, which lifts the "
-      "same-sign streams — the scalar path's branch-predictor best case — "
-      "well past parity too. The wide stream spreads each batch over "
-      "several limbs, so it measures the per-lane deposit rather than the "
-      "one-limb fold. Identity of limbs and status is checked above "
-      "before timing.\n",
+      "the scalar loop mispredicts on mixed-sign streams (the paper's "
+      "workload); and on spans of kChunkMinSpan or more it adds each "
+      "mantissa, unshifted, into one 64-bit chunk per sign and exponent, "
+      "folding the chunks into the limb planes once per %zu summands, so "
+      "a summand costs a load, a mask and an add whatever its exponent — "
+      "the wide stream costs about what the uniform ones do. The span "
+      "sweep prices the fold, which walks the block's touched exponent "
+      "range (a few dozen chunks on uniform data, ~440 on the wide set): "
+      "on short wide spans it costs more than the chunks save, so spans "
+      "and span tails shorter than kChunkMinSpan = %zu take "
+      "simd::accumulate (level \"%s\" here). Identity of limbs and "
+      "status is checked above before timing.\n",
+      kernel::kChunkBlock, kernel::kChunkMinSpan,
       kernel::simd::level_name(kernel::simd::active_level()));
 
   // --json=PATH: the bench record (bench/common.hpp) tools/bench_smoke.py
@@ -146,6 +246,15 @@ int main(int argc, char** argv) {
                bench::Better::kLower);
     record.add(stream + ".speedup", r.scalar_ns / r.block_ns, "ratio",
                bench::Better::kHigher);
+  }
+  for (const SweepRow& r : sweep_rows) {
+    const std::string prefix = "sweep." + r.stream + "." + r.span;
+    record.add(prefix + ".block_ns_per_add", r.block_ns, "ns",
+               bench::Better::kLower);
+    record.add(prefix + ".chunk_ns_per_add", r.chunk_ns, "ns",
+               bench::Better::kLower);
+    record.add(prefix + ".simd_ns_per_add", r.simd_ns, "ns",
+               bench::Better::kLower);
   }
   if (!record.write(args)) return 1;
   return bench::finish(args);

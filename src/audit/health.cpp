@@ -35,10 +35,12 @@ constexpr std::array<Rule, 6> kRules = {{
      {Counter::kScatterAddCalls, kPad, kPad, kPad, kPad, kPad},
      {Counter::kScatterAddCalls, Counter::kReferenceAddCalls},
      /*warn_at=*/0.50, /*fail_at=*/0.20, /*higher_is_better=*/true},
-    // Share of block-path deposits that ran in SIMD lanes. Punts and
-    // scalar fallbacks erode the PR 7 speedup.
-    {"simd.vector_coverage",
-     {Counter::kBlockSimdDeposits, kPad, kPad, kPad, kPad, kPad},
+    // Share of block-path deposits that took a fast path: the chunk
+    // deposit or the SIMD lanes. Rollbacks, punts and scalar fallbacks
+    // erode it.
+    {"block.fast_coverage",
+     {Counter::kBlockSimdDeposits, Counter::kBlockChunkDeposits, kPad, kPad,
+      kPad, kPad},
      {Counter::kBlockDeposits, kPad},
      /*warn_at=*/0.50, /*fail_at=*/0.20, /*higher_is_better=*/true},
     // Failed CAS attempts per add on the shared accumulator. Sustained

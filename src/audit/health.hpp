@@ -8,8 +8,9 @@
 //
 //   scatter.fast_path_coverage  scatter deposits / all deposits — the share
 //                               of adds that took the paper's fast path
-//   simd.vector_coverage        SIMD-lane deposits / block deposits — how
-//                               much of the block path ran vectorized
+//   block.fast_coverage         (SIMD-lane + chunk deposits) / block
+//                               deposits — how much of the block path
+//                               skipped the element-wise loop
 //   atomic.cas_retry_rate       CAS retries / CAS adds — contention on the
 //                               shared accumulator
 //   status.raise_rate           sticky-status raises / deposits — how often

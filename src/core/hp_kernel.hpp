@@ -16,7 +16,14 @@
 //                over any fetch-add primitive (HpAtomic's CAS loop, its
 //                fetch_add ablation, and the cudasim device adder are all
 //                instantiations), and the carry-deferred block kernel
-//                (block_add / block_flush / block_bound_exp).
+//                (block_add / block_flush / block_bound_exp, and the span
+//                entry block_accumulate). At runtime block_accumulate runs
+//                the exponent-indexed chunk deposit (chunk_accumulate in
+//                hp_kernel.cpp: Neal's large superaccumulator, one 64-bit
+//                chunk per sign+exponent, folded into the planes once per
+//                block of up to kChunkBlock summands) and sends spans
+//                shorter than kChunkMinSpan to simd::accumulate
+//                (hp_kernel_simd.hpp).
 //   BlockAccumulator<N,K> — the block fast path as a value type: deposits
 //                a stream of doubles into per-limb carry-save partials
 //                (unsigned __int128 planes, one positive one negative) and
@@ -31,10 +38,12 @@
 //
 // All double-path kernels are constexpr and libm-free (IEEE fields via
 // std::bit_cast), so the whole deposit -> defer -> normalize pipeline can be
-// evaluated at compile time.
+// evaluated at compile time; constant evaluation of block_accumulate takes
+// the scalar block_add loop instead of the two runtime bodies.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -385,11 +394,28 @@ inline constexpr int kBlockMaxPending = 1 << 30;
 /// that lets block_add write the straddle word unconditionally (it only
 /// ever receives provably-zero straddles of top-limb deposits).
 ///
-/// Exactness: pending <= kBlockMaxPending between flushes, so each U128
-/// slot holds < 2^94 — far from wrapping — and block_budget_ok bounds
-/// |value| plus the deferred magnitudes below 2^(64n-1), which bounds each
-/// plane's total separately (not just their difference), so no carry is
-/// lost off the top of the fold.
+/// Two writers fill the planes between flushes: block_add (two words per
+/// deposit) and the exponent-indexed chunk fold (chunk_accumulate, one
+/// write per slot per committed block). Exactness rests on three facts:
+///   - Slot bound. Each block_add deposit adds one word < 2^64 to a slot;
+///     each committed chunk block adds at most 128 such words (the low
+///     words of one limb window's 64 exponents plus the high words of the
+///     window below), so < 2^71. Either way one deferral event adds < 2^71
+///     and counts at least one toward `pending` <= kBlockMaxPending, so a
+///     slot holds < 2^101 — far from wrapping.
+///   - Pad slot. block_budget_ok bounds |value| plus the deferred
+///     magnitudes below 2^(64n-1), which bounds each plane's total
+///     separately (not just their difference), so no carry is lost off
+///     the top of the fold. The same bound keeps every deferred addend —
+///     a single mantissa, or a chunk of up to kChunkBlock mantissas
+///     sharing one exponent — below 2^(64n-1), so the part of it that
+///     would land above the top limb, which is what slot 0 receives, is
+///     zero.
+///   - Slot contents vs totals. A chunk fold hands a slot the low word of
+///     a chunk's shifted sum, not the sum of each summand's low word, so
+///     plane slot CONTENTS may differ from what element-wise block_add
+///     leaves; each plane's weighted total is the same integer, so the
+///     flushed limbs cannot differ.
 constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
                            int& bound_exp, int& pending) noexcept {
   if (pending == 0) return;
@@ -475,27 +501,89 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
   return d.st;
 }
 
-/// Deposits a whole span through block_add while keeping the bound/pending
-/// state in locals, so the hot loop's invariant updates stay in registers
-/// instead of bouncing through the accumulator object. Semantically (and
-/// bit-for-bit, limbs and status) identical to calling block_add per
-/// element.
-///
-/// When the build has the AVX2 TU (HPSUM_SIMD_DISPATCH), runtime calls
-/// dispatch to the vectorized batch deposit (core/hp_kernel_simd.hpp),
-/// which is fuzzed
-/// bit-identical — limbs and sticky status — to the scalar loop below.
-/// Constant evaluation always takes the scalar loop: the SIMD path is not
-/// constexpr, and the is_constant_evaluated() guard keeps this facade
-/// usable in both worlds.
+/// The IEEE-754 binary64 mantissa field and its implicit leading bit.
+inline constexpr std::uint64_t kMask52 = (std::uint64_t{1} << 52) - 1;
+inline constexpr std::uint64_t kBit52 = std::uint64_t{1} << 52;
+
+/// The fast window for an (n,k) format, in biased-exponent terms. A
+/// summand is FAST iff be_lo <= biased_exp <= be_hi, which is exactly:
+///   - normal and finite (be >= 1, be <= 0x7FE),
+///   - whole mantissa at or above 2^(-64k): p = be-1075+64k >= 0, so the
+///     deposit is exact (no kInexact truncation), and
+///   - msb = p+52 <= 64n-2, below the sign bit (no kConvertOverflow).
+/// A fast deposit raises no status flags, touches exactly limbs li/li-1,
+/// and has msb = p+52 with the implicit leading bit — the facts both the
+/// SIMD batch gate and the chunk block gate rest on. Everything else
+/// (zeros, subnormals, non-finite, out-of-range, sub-lsb truncation) takes
+/// the element-wise block_add.
+struct Window {
+  int be_lo;
+  int be_hi;
+  int pbias;  ///< 64k - 1075: biased exponent -> signed lsb position p
+};
+
+[[nodiscard]] constexpr Window window(int n, int k) noexcept {
+  Window w{};
+  w.be_lo = 1075 - 64 * k;
+  if (w.be_lo < 1) w.be_lo = 1;
+  w.be_hi = 64 * (n - k) + 1021;
+  if (w.be_hi > 0x7FE) w.be_hi = 0x7FE;
+  w.pbias = 64 * k - 1075;
+  return w;
+}
+
+/// Most summands one exponent-indexed block deposits before its chunks
+/// are folded into the planes. A chunk sums up to kChunkBlock mantissas
+/// below 2^53, so it cannot wrap its 64 bits.
+inline constexpr std::size_t kChunkBlock = 2048;
+static_assert(static_cast<U128>(kChunkBlock) *
+                      ((std::uint64_t{1} << 53) - 1) <
+                  (static_cast<U128>(1) << 64),
+              "a chunk of kChunkBlock mantissas must fit 64 bits");
+
+/// Spans and span tails shorter than this skip the chunk deposit and take
+/// simd::accumulate: below it the fold over the touched exponent range
+/// costs more than the chunk deposit saves (EXPERIMENTS.md A2c, span
+/// sweep).
+inline constexpr std::size_t kChunkMinSpan = 512;
+
+/// The exponent-indexed deposit (hp_kernel.cpp), after Neal's large
+/// superaccumulator (arXiv 1505.05571): each block of up to kChunkBlock
+/// summands adds every mantissa, unshifted, into a 64-bit chunk indexed by
+/// sign and biased exponent, then either commits — one fold of the
+/// touched exponent range into the planes — or rolls back and replays
+/// element-wise through block_add. A block commits iff every summand is in
+/// window(n, k) and block_budget_ok accepts the state the element-wise
+/// loop would reach after the whole block; the budget is monotone, so that
+/// is exactly block_add's decision for every element. Flushed limbs,
+/// sticky status, bound_exp and pending therefore match block_add driven
+/// per element; plane slot contents may not (see block_flush). Takes any
+/// span length; block_accumulate decides which spans come here.
+[[nodiscard]] HpStatus chunk_accumulate(util::Limb* a, U128* pos, U128* neg,
+                                        int n, int k, int& bound_exp,
+                                        int& pending,
+                                        std::span<const double> xs) noexcept;
+
+/// Deposits a whole span into the block state: limbs, sticky status,
+/// bound_exp and pending end exactly as calling block_add per element
+/// would leave them. At runtime the span goes to chunk_accumulate in
+/// blocks of kChunkBlock, except a span or final partial block shorter
+/// than kChunkMinSpan, which takes simd::accumulate (the AVX2 batch
+/// deposit, or the scalar loop where the build or CPU lacks AVX2).
+/// Constant evaluation keeps the scalar block_add loop, with bound and
+/// pending in locals so the loop's invariant updates stay in registers.
 [[nodiscard]] constexpr HpStatus block_accumulate(
     util::Limb* a, U128* pos, U128* neg, int n, int k, int& bound_exp,
     int& pending, std::span<const double> xs) noexcept {
-#if HPSUM_SIMD_DISPATCH
   if (!std::is_constant_evaluated()) {
-    return simd::accumulate(a, pos, neg, n, k, bound_exp, pending, xs);
+    const std::size_t rem = xs.size() % kChunkBlock;
+    const std::size_t tail = rem < kChunkMinSpan ? rem : 0;
+    HpStatus st = chunk_accumulate(a, pos, neg, n, k, bound_exp, pending,
+                                   xs.first(xs.size() - tail));
+    st |= simd::accumulate(a, pos, neg, n, k, bound_exp, pending,
+                           xs.last(tail));
+    return st;
   }
-#endif
   HpStatus st = HpStatus::kOk;
   int bound = bound_exp;
   int pend = pending;

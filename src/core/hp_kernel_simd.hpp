@@ -3,18 +3,19 @@
 // kernel::block_accumulate (core/hp_kernel.hpp) is the facade every span
 // consumer routes through (HpFixed/HpDyn::accumulate, reduce_hp, the
 // backends' whole-slice accumulators, rblas, the mpisim op). At runtime it
-// dispatches here: a batch of kWidth doubles is decomposed in vector lanes
-// (exponent extract, mantissa split, sign mask) and deposited into the
-// positive/negative carry-save planes, instead of paying the scalar
-// decompose's branch tree once per summand.
+// sends spans to the exponent-indexed chunk deposit, and spans or span
+// tails shorter than kernel::kChunkMinSpan here: a batch of kWidth doubles
+// is decomposed in vector lanes (exponent extract, mantissa split, sign
+// mask) and deposited into the positive/negative carry-save planes,
+// instead of paying the scalar decompose's branch tree once per summand.
 //
 // Levels (-DHPSUM_SIMD=AUTO|OFF at configure time, then the CPU):
 //
 //   AVX2 — x86 intrinsics (hp_kernel_simd_avx2.cpp, compiled -mavx2).
 //          AUTO builds that TU when the compiler supports -mavx2 and pick
 //          it at runtime iff the CPU reports AVX2.
-//   OFF  — kernel::block_accumulate keeps the pure-scalar block_add loop:
-//          on HPSUM_SIMD=OFF builds, and on AUTO builds running on a CPU
+//   OFF  — accumulate() is the pure-scalar block_add loop: on
+//          HPSUM_SIMD=OFF builds, and on AUTO builds running on a CPU
 //          without AVX2. hp_kernel_simd.cpp still builds so active_level()
 //          stays linkable (it reports kOff).
 //
@@ -41,9 +42,9 @@
 #include "util/limbs.hpp"
 
 // Defined PUBLIC (0 or 1) on hpsum_core by src/core/CMakeLists.txt from the
-// HPSUM_SIMD configure option, so every target in the build agrees on the
-// shape of the inline kernel::block_accumulate (ODR). The out-of-build
-// default is the conservative scalar path.
+// HPSUM_SIMD configure option, so every target in the build agrees on
+// whether the AVX2 path is built. The out-of-build default is the
+// conservative scalar path.
 #ifndef HPSUM_SIMD_DISPATCH
 #define HPSUM_SIMD_DISPATCH 0
 #endif
@@ -56,7 +57,7 @@ __extension__ using U128 = unsigned __int128;
 /// kWidth (and any batch with a slow lane) takes the scalar deposit.
 inline constexpr int kWidth = 8;
 
-/// Which implementation block_accumulate dispatches to at runtime.
+/// Which implementation accumulate() dispatches to at runtime.
 enum class Level { kOff, kAvx2 };
 
 /// The resolved dispatch level: kAvx2 iff the build has the AVX2 TU and
@@ -66,7 +67,7 @@ enum class Level { kOff, kAvx2 };
 /// Stable lowercase name for exports/banners: "off" or "avx2".
 [[nodiscard]] const char* level_name(Level level) noexcept;
 
-/// The runtime batched deposit behind kernel::block_accumulate. Same
+/// The short-span runtime deposit behind kernel::block_accumulate. Same
 /// contract and same state as kernel::block_add driven per element —
 /// bit-identical limbs and sticky status — but never usable in constant
 /// evaluation (the facade keeps the scalar loop for that).

@@ -1,6 +1,7 @@
 // hp_kernel_simd_deposit — the ISA-independent half of the vectorized block
-// deposit: the per-batch fast-lane gate, the exact budget check, and the
-// plane scatter. hp_kernel_simd_avx2.cpp provides only the lane
+// deposit: the per-batch fast-lane gate (over kernel::window, which the
+// chunk deposit shares), the exact budget check, and the plane scatter.
+// hp_kernel_simd_avx2.cpp provides only the lane
 // decomposer (-mavx2 intrinsics); everything that decides WHETHER a batch
 // may be vector-deposited — and therefore everything the bit-identity
 // argument rests on — lives here, apart from the ISA-specific code.
@@ -18,9 +19,6 @@
 #include "util/limbs.hpp"
 
 namespace hpsum::kernel::simd::detail {
-
-inline constexpr std::uint64_t kMask52 = (std::uint64_t{1} << 52) - 1;
-inline constexpr std::uint64_t kBit52 = std::uint64_t{1} << 52;
 
 /// One decomposed batch of kWidth lanes. Each lane's two limb words are
 /// stored once, unsigned; `neg` says which plane a lane goes to, so the
@@ -49,32 +47,6 @@ struct LaneBatch {
   bool all_fast = false;      ///< every lane normal, in-window, untruncated
   bool uniform = false;       ///< all lanes share lq[0] (one target limb pair)
 };
-
-/// The fast-lane window for an (n,k) format, in biased-exponent terms. A
-/// lane is FAST iff be_lo <= biased_exp <= be_hi, which is exactly:
-///   - normal and finite (be >= 1, be <= 0x7FE),
-///   - whole mantissa at or above 2^(-64k): p = be-1075+64k >= 0, so the
-///     deposit is exact (no kInexact truncation), and
-///   - msb = p+52 <= 64n-2, below the sign bit (no kConvertOverflow).
-/// A fast deposit raises no status flags, touches exactly limbs li/li-1,
-/// and has msb = p+52 with the implicit leading bit — the three facts the
-/// batched path needs. Everything else (zeros, subnormals, non-finite,
-/// out-of-range, sub-lsb truncation) punts to the scalar kernel.
-struct Window {
-  int be_lo;
-  int be_hi;
-  int pbias;  ///< 64k - 1075: biased exponent -> signed lsb position p
-};
-
-[[nodiscard]] constexpr Window window(int n, int k) noexcept {
-  Window w{};
-  w.be_lo = 1075 - 64 * k;
-  if (w.be_lo < 1) w.be_lo = 1;
-  w.be_hi = 64 * (n - k) + 1021;
-  if (w.be_hi > 0x7FE) w.be_hi = 0x7FE;
-  w.pbias = 64 * k - 1075;
-  return w;
-}
 
 /// The batched accumulate driver. Bit-identity with the scalar per-element
 /// kernel::block_add loop (limbs AND sticky status) holds because:

@@ -102,6 +102,7 @@ std::string_view counter_name(Counter c) noexcept {
     case Counter::kBlockSimdBatches: return "core.block.simd_batches";
     case Counter::kBlockSimdDeposits: return "core.block.simd_deposits";
     case Counter::kBlockSimdPunts: return "core.block.simd_punts";
+    case Counter::kBlockChunkDeposits: return "core.block.chunk_deposits";
     case Counter::kStatusConvertOverflow: return "core.status_raise.convert_overflow";
     case Counter::kStatusAddOverflow: return "core.status_raise.add_overflow";
     case Counter::kStatusToDoubleOverflow: return "core.status_raise.to_double_overflow";

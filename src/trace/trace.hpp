@@ -81,6 +81,8 @@ enum class Counter : std::uint16_t {
   kBlockSimdBatches,      ///< full-width batches deposited in vector lanes
   kBlockSimdDeposits,     ///< doubles deposited by the vector path
   kBlockSimdPunts,        ///< full-width batches punted to the scalar deposit
+  // core — the exponent-indexed chunk deposit (kernel::chunk_accumulate).
+  kBlockChunkDeposits,    ///< doubles deposited by committed chunk blocks
   // core — sticky status raise counts, one counter per HpStatus bit.
   kStatusConvertOverflow,
   kStatusAddOverflow,

@@ -11,6 +11,7 @@
 // block path's scalar fallback on every deposit (most-negative value).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -551,7 +552,8 @@ TEST(BlockBudget, AddOverflowMidBatchMatchesScalar) {
 TEST(BlockBudget, OneFlushPerSpanOnPaperWorkloads) {
   // The budget's headline: on the paper's two data sets HP(6,3) never runs
   // short of range, so a whole 1M-summand span is one flush (at limbs())
-  // and, on an AVX2 build, every batch vector-deposits.
+  // and every summand takes the chunk deposit: the span is a whole number
+  // of blocks, and every block passes the gate.
   for (const bool wide : {true, false}) {
     const std::vector<double> xs =
         wide ? workload::wide_range_set(1 << 20, 1, -120, 100)
@@ -566,11 +568,274 @@ TEST(BlockBudget, OneFlushPerSpanOnPaperWorkloads) {
           << (wide ? "wide" : "uniform");
       EXPECT_EQ(delta.value(trace::Counter::kBlockSimdPunts), 0u)
           << (wide ? "wide" : "uniform");
+      EXPECT_EQ(delta.value(trace::Counter::kBlockChunkDeposits), xs.size())
+          << (wide ? "wide" : "uniform");
     }
     HpFixed<6, 3> scalar;
     for (const double x : xs) scalar += x;
     EXPECT_EQ(scalar, blocked);
     EXPECT_EQ(scalar.status(), blocked.status());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The exponent-indexed chunk deposit (kernel::chunk_accumulate), which is
+// block_accumulate's runtime body for spans of kChunkMinSpan or more. A
+// committed block folds pre-summed chunks, so plane slot contents may
+// differ from element-wise block_add's; flushed limbs, sticky status,
+// bound_exp and pending may not.
+// ---------------------------------------------------------------------------
+
+using SpanFn = HpStatus (*)(Limb*, kernel::U128*, kernel::U128*, int, int,
+                            int&, int&, std::span<const double>);
+
+/// Differential: `deposit` over `xs` (in subspans of `splits`, then the
+/// rest) vs per-element block_add, both from `start` with `pending0`
+/// (empty) deferred deposits. Returns the chunk-path deposit count the
+/// dispatch recorded (0 when tracing is compiled out).
+std::uint64_t expect_span_matches_block_add(
+    const HpConfig& cfg, const std::vector<Limb>& start,
+    const std::vector<double>& xs, int pending0 = 0,
+    const std::vector<std::size_t>& splits = {},
+    SpanFn deposit = &kernel::block_accumulate) {
+  const auto np = static_cast<std::size_t>(cfg.n) + 1;
+  std::vector<Limb> ref = start;
+  std::vector<kernel::U128> rpos(np, 0);
+  std::vector<kernel::U128> rneg(np, 0);
+  int rbound = kernel::block_bound_exp(ref.data(), cfg.n);
+  int rpend = pending0;
+  HpStatus rst = HpStatus::kOk;
+  for (const double x : xs) {
+    rst |= kernel::block_add(ref.data(), rpos.data(), rneg.data(), cfg.n,
+                             cfg.k, rbound, rpend, x);
+  }
+  std::vector<Limb> got = start;
+  std::vector<kernel::U128> gpos(np, 0);
+  std::vector<kernel::U128> gneg(np, 0);
+  int gbound = kernel::block_bound_exp(got.data(), cfg.n);
+  int gpend = pending0;
+  HpStatus gst = HpStatus::kOk;
+  const trace::Snapshot before = trace::snapshot();
+  const std::span<const double> all(xs.data(), xs.size());
+  std::size_t at = 0;
+  for (const std::size_t len : splits) {
+    gst |= deposit(got.data(), gpos.data(), gneg.data(), cfg.n, cfg.k, gbound,
+                   gpend, all.subspan(at, len));
+    at += len;
+  }
+  gst |= deposit(got.data(), gpos.data(), gneg.data(), cfg.n, cfg.k, gbound,
+                 gpend, all.subspan(at));
+  const std::uint64_t chunked = trace::snapshot().delta_since(before).value(
+      trace::Counter::kBlockChunkDeposits);
+  EXPECT_EQ(rbound, gbound) << "bound_exp mismatch: n=" << cfg.n
+                            << " k=" << cfg.k << " len=" << xs.size();
+  EXPECT_EQ(rpend, gpend) << "pending mismatch: n=" << cfg.n << " k=" << cfg.k
+                          << " len=" << xs.size();
+  kernel::block_flush(ref.data(), rpos.data(), rneg.data(), cfg.n, rbound,
+                      rpend);
+  kernel::block_flush(got.data(), gpos.data(), gneg.data(), cfg.n, gbound,
+                      gpend);
+  EXPECT_EQ(ref, got) << "flushed limb mismatch: n=" << cfg.n
+                      << " k=" << cfg.k << " len=" << xs.size();
+  EXPECT_EQ(rst, gst) << "status mismatch: n=" << cfg.n << " k=" << cfg.k
+                      << " len=" << xs.size() << " block_add="
+                      << to_string(rst) << " span=" << to_string(gst);
+  return chunked;
+}
+
+/// A value whose every bit lands inside `cfg` with room to spare: normal,
+/// lsb at or above 2^-64k, msb at least a limb below the sign bit (and
+/// inside the double range for the widest formats).
+double clean_double(util::Xoshiro256ss& rng, const HpConfig& cfg) {
+  const int lo = std::max(min_exponent(cfg) + 52, -1000);
+  const int hi = std::min(max_exponent(cfg) - 64, 1000);
+  const int e = hi <= lo ? lo
+                         : lo + static_cast<int>(rng.bounded(
+                                    static_cast<std::uint64_t>(hi - lo)));
+  const double v = std::ldexp(1.0 + rng.uniform01(), e);
+  return (rng.next() & 1) != 0 ? -v : v;
+}
+
+std::vector<double> clean_stream(util::Xoshiro256ss& rng, const HpConfig& cfg,
+                                 std::size_t len) {
+  std::vector<double> xs(len);
+  for (auto& x : xs) x = clean_double(rng, cfg);
+  return xs;
+}
+
+/// Summands block_accumulate sends to the chunk deposit for one span:
+/// everything but a final partial block shorter than kChunkMinSpan.
+std::uint64_t chunked_share(std::size_t len) {
+  const std::size_t rem = len % kernel::kChunkBlock;
+  return len - (rem < kernel::kChunkMinSpan ? rem : 0);
+}
+
+TEST(ChunkDeposit, BlockAndMinSpanBoundaryLengths) {
+  util::Xoshiro256ss rng(0xC4C4);
+  const HpConfig cfg{6, 3};
+  const std::vector<Limb> start(6, 0);
+  for (const std::size_t len :
+       {std::size_t{2047}, std::size_t{2048}, std::size_t{2049},
+        3 * kernel::kChunkBlock + 5, kernel::kChunkMinSpan - 1,
+        kernel::kChunkMinSpan, kernel::kChunkMinSpan + 1}) {
+    const auto xs = clean_stream(rng, cfg, len);
+    const std::uint64_t chunked = expect_span_matches_block_add(cfg, start, xs);
+    if constexpr (trace::enabled()) {
+      EXPECT_EQ(chunked, chunked_share(len)) << "len=" << len;
+    }
+    // The chunk deposit alone, at every length (no span policy).
+    expect_span_matches_block_add(cfg, start, xs, 0, {},
+                                  &kernel::chunk_accumulate);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ChunkDeposit, OneSlowLaneRollsBackItsBlockOnly) {
+  const HpConfig cfg{6, 3};
+  const std::vector<Limb> start(6, 0);
+  const int top = max_exponent(cfg);  // the sign bit's weight is 2^(top+1)
+  struct Slow {
+    double x;
+    bool spends_budget;  ///< lands at bit 64n-2: no later block fits
+  };
+  const Slow slow[] = {
+      {0.0, false},
+      {-0.0, false},
+      {std::bit_cast<double>(std::uint64_t{0x000F'1234'5678'9ABC}), false},
+      {std::numeric_limits<double>::quiet_NaN(), false},
+      {std::numeric_limits<double>::infinity(), false},
+      {-std::numeric_limits<double>::infinity(), false},
+      {std::ldexp(1.0 + 0x1p-52, min_exponent(cfg) + 10), false},  // sub-lsb
+      {std::ldexp(1.5, top - 1), true},                            // 64n-2
+      {-std::ldexp(1.5, top), false},                              // 64n-1
+  };
+  util::Xoshiro256ss rng(0x510E);
+  for (const Slow& bad : slow) {
+    for (const std::size_t at :
+         {std::size_t{0}, kernel::kChunkBlock / 2, kernel::kChunkBlock - 1}) {
+      auto xs = clean_stream(rng, cfg, 3 * kernel::kChunkBlock);
+      xs[at] = bad.x;
+      const std::uint64_t chunked =
+          expect_span_matches_block_add(cfg, start, xs);
+      if constexpr (trace::enabled()) {
+        // The first block replays element-wise and the clean blocks after
+        // it commit, unless the slow lane left the value at the top of the
+        // range, where no whole block fits the budget.
+        EXPECT_EQ(chunked, bad.spends_budget ? 0 : 2 * kernel::kChunkBlock)
+            << "slow=" << bad.x << " at " << at;
+      }
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(ChunkDeposit, NearMaxStartFailsTheGateAndReplaysTheFallback) {
+  // Start just below 2^(64n-2): no whole block of 2^(64n-4)-sized
+  // summands fits the budget, so every block rolls back, and block_add
+  // defers one, then flushes and takes the scatter fallback on the second
+  // — which carries the value past the top (kAddOverflow).
+  const HpConfig cfg{6, 3};
+  std::vector<Limb> start(6, ~Limb{0});
+  start[0] = ~Limb{0} >> 2;
+  util::Xoshiro256ss rng(0xF00F);
+  std::vector<double> xs(2 * kernel::kChunkBlock);
+  for (auto& x : xs) {
+    x = std::ldexp(1.0 + rng.uniform01(), max_exponent(cfg) - 3);
+  }
+  const trace::Snapshot before = trace::snapshot();
+  EXPECT_EQ(expect_span_matches_block_add(cfg, start, xs), 0u);
+  const trace::Snapshot delta = trace::snapshot().delta_since(before);
+  if constexpr (trace::enabled()) {
+    EXPECT_GT(delta.value(trace::Counter::kBlockScalarFallbacks), 0u);
+  }
+  EXPECT_TRUE(has(scalar_status(cfg, start, xs), HpStatus::kAddOverflow));
+  // The negative direction, from the most negative side.
+  for (auto& x : xs) x = -x;
+  std::vector<Limb> low = start;
+  ASSERT_EQ(kernel::negate(low.data(), cfg.n), HpStatus::kOk);
+  expect_span_matches_block_add(cfg, low, xs);
+}
+
+TEST(ChunkDeposit, PaperFormatsAndFullRange) {
+  util::Xoshiro256ss rng(0xF0F0);
+  for (const HpConfig cfg : {HpConfig{1, 0}, HpConfig{2, 1}, HpConfig{6, 3},
+                             HpConfig{8, 4}, kFullRange}) {
+    const std::vector<Limb> zero(static_cast<std::size_t>(cfg.n), 0);
+    // Clean: every block commits where the budget allows it.
+    expect_span_matches_block_add(cfg, zero,
+                                  clean_stream(rng, cfg, 2 * 2048 + 700));
+    // Sparse adversarial summands: some blocks roll back, most commit.
+    auto xs = clean_stream(rng, cfg, 4 * 2048 + 3);
+    for (std::size_t i = 0; i < xs.size(); i += 1 + rng.bounded(3000)) {
+      if (cfg.n <= 16) {
+        xs[i] = adversarial_double(rng, cfg);
+      } else {  // the full range's slow doubles: subnormal, zero, non-finite
+        const double full_range_slow[] = {
+            3 * std::numeric_limits<double>::denorm_min(), -0.0,
+            std::numeric_limits<double>::quiet_NaN(),
+            std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity()};
+        xs[i] = full_range_slow[rng.bounded(5)];
+      }
+    }
+    expect_span_matches_block_add(cfg, adversarial_acc(rng, cfg), xs);
+    expect_span_matches_block_add(cfg, zero, xs, 0, {1000, 2048, 1});
+    // Non-finite summands in otherwise clean blocks. In the widest
+    // formats the budget alone would pass a NaN's exponent; the window
+    // test must reject it.
+    auto nonfinite = clean_stream(rng, cfg, 3 * 2048);
+    nonfinite[1000] = std::numeric_limits<double>::quiet_NaN();
+    nonfinite[2048 + 5] = -std::numeric_limits<double>::infinity();
+    nonfinite[2 * 2048 + 2047] = std::numeric_limits<double>::infinity();
+    expect_span_matches_block_add(cfg, zero, nonfinite);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ChunkDeposit, NonzeroStartAndPendingCarriedIn) {
+  util::Xoshiro256ss rng(0x9E9E);
+  const HpConfig cfg{6, 3};
+  std::vector<Limb> start(6, 0);
+  for (auto& l : start) l = rng.next() >> 8;
+  const auto xs = clean_stream(rng, cfg, 2 * 2048 + 600);
+  expect_span_matches_block_add(cfg, start, xs, 5);
+  // Near the pending cap: the second block's gate sees the cap.
+  expect_span_matches_block_add(cfg, start, xs,
+                                kernel::kBlockMaxPending - 3000);
+  // The value-type route: add() defers, then accumulate() continues from
+  // the same bound and pending.
+  HpFixed<6, 3> scalar(-12.5);
+  BlockAccumulator<6, 3> blk(scalar.limbs());
+  for (const double x : {1.5, -0.75, 3e10}) {
+    scalar += x;
+    blk.add(x);
+  }
+  for (const double x : xs) scalar += x;
+  blk.accumulate(std::span<const double>(xs.data(), xs.size()));
+  const HpFixed<6, 3> blocked(blk);
+  EXPECT_EQ(scalar, blocked);
+  EXPECT_EQ(scalar.status(), blocked.status());
+}
+
+TEST(ChunkDeposit, RolledBackSpanLeavesTheScratchZeroed) {
+  // A span whose every block rolls back (a NaN at each block's end, after
+  // the clean summands have been chunked), then a clean span in another
+  // format over the same exponents: any chunk left behind by the rollback
+  // would land in the second span's limbs.
+  util::Xoshiro256ss rng(0x2E20);
+  const HpConfig first{6, 3};
+  const HpConfig second{2, 1};
+  auto xs = clean_stream(rng, second, 2 * kernel::kChunkBlock);
+  xs[kernel::kChunkBlock - 1] = std::numeric_limits<double>::quiet_NaN();
+  xs.back() = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(expect_span_matches_block_add(
+                first, std::vector<Limb>(6, 0), xs),
+            0u);
+  const auto clean = clean_stream(rng, second, 2 * kernel::kChunkBlock);
+  const std::uint64_t chunked =
+      expect_span_matches_block_add(second, std::vector<Limb>(2, 0), clean);
+  if constexpr (trace::enabled()) {
+    EXPECT_EQ(chunked, clean.size());
   }
 }
 
@@ -594,11 +859,11 @@ TEST(BlockSimd, DispatchLevelIsCoherent) {
 // Compile-time proofs: the block path is constexpr end to end, and its
 // bit-identity to the scalar kernel holds inside a constant expression —
 // the strongest "no UB, no library call, same bits" statement the type
-// system can make. With HPSUM_SIMD_DISPATCH on, these same proofs also pin
-// the dispatch guard: block_accumulate consults std::is_constant_evaluated
-// before calling the (non-constexpr) SIMD entry point, so a constant
-// expression takes the scalar loop — if the guard ever broke, every
-// static_assert below would fail to compile.
+// system can make. These same proofs also pin the dispatch guard:
+// block_accumulate consults std::is_constant_evaluated before calling its
+// (non-constexpr) runtime bodies, chunk_accumulate and simd::accumulate,
+// so a constant expression takes the scalar loop — if the guard ever
+// broke, every static_assert below would fail to compile.
 // ---------------------------------------------------------------------------
 
 constexpr bool block_matches_scalar_at_compile_time() {

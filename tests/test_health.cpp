@@ -36,7 +36,7 @@ TEST(Health, CatalogHasSixRulesInStableOrder) {
   const audit::HealthReport report = audit::evaluate_health(trace::Snapshot{});
   ASSERT_EQ(report.indicators.size(), 6u);
   EXPECT_EQ(report.indicators[0].name, "scatter.fast_path_coverage");
-  EXPECT_EQ(report.indicators[1].name, "simd.vector_coverage");
+  EXPECT_EQ(report.indicators[1].name, "block.fast_coverage");
   EXPECT_EQ(report.indicators[2].name, "atomic.cas_retry_rate");
   EXPECT_EQ(report.indicators[3].name, "status.raise_rate");
   EXPECT_EQ(report.indicators[4].name, "mpisim.wire_compression");
@@ -66,6 +66,25 @@ TEST(Health, HigherIsBetterDirection) {
   EXPECT_EQ(level_of(snap_with({{C::kScatterAddCalls, 10},
                                 {C::kReferenceAddCalls, 90}}),
                      "scatter.fast_path_coverage"),
+            HealthLevel::kFail);  // 0.10 < fail_at 0.20
+}
+
+TEST(Health, BlockCoverageCountsChunkAndSimdDeposits) {
+  using C = trace::Counter;
+  // (simd + chunk deposits) / block deposits: a bulk span deposited by the
+  // chunk path with no SIMD lanes at all is full coverage, not a fail.
+  EXPECT_EQ(level_of(snap_with({{C::kBlockChunkDeposits, 2048},
+                                {C::kBlockDeposits, 2048}}),
+                     "block.fast_coverage"),
+            HealthLevel::kOk);
+  EXPECT_EQ(level_of(snap_with({{C::kBlockChunkDeposits, 20},
+                                {C::kBlockSimdDeposits, 20},
+                                {C::kBlockDeposits, 100}}),
+                     "block.fast_coverage"),
+            HealthLevel::kWarn);  // 0.40 in [0.20, 0.50)
+  EXPECT_EQ(level_of(snap_with({{C::kBlockSimdDeposits, 10},
+                                {C::kBlockDeposits, 100}}),
+                     "block.fast_coverage"),
             HealthLevel::kFail);  // 0.10 < fail_at 0.20
 }
 
@@ -175,7 +194,7 @@ TEST(Health, JsonCarriesVersionOverallAndEveryRule) {
   EXPECT_NE(json.find("\"hpsum_health\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"overall\": \"ok\""), std::string::npos);
   for (const char* name :
-       {"scatter.fast_path_coverage", "simd.vector_coverage",
+       {"scatter.fast_path_coverage", "block.fast_coverage",
         "atomic.cas_retry_rate", "status.raise_rate",
         "mpisim.wire_compression", "snapshot.retry_rate"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name;

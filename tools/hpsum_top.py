@@ -42,8 +42,8 @@ HEALTH_RULES = [
      ["core.scatter_add.calls"],
      ["core.scatter_add.calls", "core.reference_add.calls"],
      0.50, 0.20, True, False),
-    ("simd.vector_coverage",
-     ["core.block.simd_deposits"],
+    ("block.fast_coverage",
+     ["core.block.simd_deposits", "core.block.chunk_deposits"],
      ["core.block.deposits"],
      0.50, 0.20, True, False),
     ("atomic.cas_retry_rate",
