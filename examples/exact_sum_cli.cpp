@@ -8,7 +8,7 @@
 //   $ seq 1000000 | awk '{print 1/$1}' | ./build/examples/exact_sum_cli
 //
 // --metrics[=FILE] additionally dumps the runtime telemetry snapshot
-// (scatter fast-path deposits, carry-chain distribution, status raises;
+// (deposit-path counts, block flushes, status raises;
 // see docs/OBSERVABILITY.md) as JSON to stdout or FILE. --flight[=FILE]
 // arms the hpsum_flight event recorder and exports the run's timeline as
 // Chrome trace-event JSON (or the binary dump for FILE ending ".bin").

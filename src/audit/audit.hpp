@@ -41,8 +41,8 @@ struct SensitivityReport {
   double worst_abs_error = 0.0;  ///< max |double sum - exact|
   double naive_error = 0.0;  ///< |unshuffled double sum - exact|
   HpConfig config;           ///< format the audit sized for the data
-  /// Telemetry delta across the study (what the exact reduction did: fast-
-  /// path deposits, carry chains, status raises). All-zero in
+  /// Telemetry delta across the study (what the exact reduction did: which
+  /// deposit paths ran, flushes, status raises). All-zero in
   /// HPSUM_TRACE=OFF builds.
   trace::Snapshot trace_delta;
 };

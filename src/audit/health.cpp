@@ -14,7 +14,7 @@ using trace::Counter;
 struct Rule {
   std::string_view name;
   std::array<Counter, 6> num;  ///< kCount-padded counter list to sum
-  std::array<Counter, 2> den;
+  std::array<Counter, 3> den;
   double warn_at;
   double fail_at;
   bool higher_is_better;
@@ -33,7 +33,7 @@ constexpr std::array<Rule, 6> kRules = {{
     // coverage means the workload is falling back to convert+add.
     {"scatter.fast_path_coverage",
      {Counter::kScatterAddCalls, kPad, kPad, kPad, kPad, kPad},
-     {Counter::kScatterAddCalls, Counter::kReferenceAddCalls},
+     {Counter::kScatterAddCalls, Counter::kReferenceAddCalls, kPad},
      /*warn_at=*/0.50, /*fail_at=*/0.20, /*higher_is_better=*/true},
     // Share of block-path deposits that took a fast path: the chunk
     // deposit or the SIMD lanes. Rollbacks, punts and scalar fallbacks
@@ -41,27 +41,30 @@ constexpr std::array<Rule, 6> kRules = {{
     {"block.fast_coverage",
      {Counter::kBlockSimdDeposits, Counter::kBlockChunkDeposits, kPad, kPad,
       kPad, kPad},
-     {Counter::kBlockDeposits, kPad},
+     {Counter::kBlockDeposits, kPad, kPad},
      /*warn_at=*/0.50, /*fail_at=*/0.20, /*higher_is_better=*/true},
     // Failed CAS attempts per add on the shared accumulator. Sustained
     // contention says the deposit streams need more shards.
     {"atomic.cas_retry_rate",
      {Counter::kAtomicCasRetries, kPad, kPad, kPad, kPad, kPad},
-     {Counter::kAtomicCasAdds, kPad},
+     {Counter::kAtomicCasAdds, kPad, kPad},
      /*warn_at=*/0.50, /*fail_at=*/2.00, /*higher_is_better=*/false},
     // Sticky-status raises per deposit: how often the exactness contract
-    // had to flag information loss (any HpStatus bit).
+    // had to flag information loss (any HpStatus bit). Deposits are every
+    // path's: scatter, reference and block. A block deposit past the
+    // carry budget falls back to the scatter path and counts in both.
     {"status.raise_rate",
      {Counter::kStatusConvertOverflow, Counter::kStatusAddOverflow,
       Counter::kStatusToDoubleOverflow, Counter::kStatusInexact,
       Counter::kStatusToDoubleInexact, Counter::kStatusInvalidOp},
-     {Counter::kScatterAddCalls, Counter::kReferenceAddCalls},
+     {Counter::kScatterAddCalls, Counter::kReferenceAddCalls,
+      Counter::kBlockDeposits},
      /*warn_at=*/0.25, /*fail_at=*/0.75, /*higher_is_better=*/false},
     // Encoded/raw collective payload bytes. The sparse codec's CI gate
     // demands <= 1/3; identity (codec never attached) is N/A.
     {"mpisim.wire_compression",
      {Counter::kMpisimWireEncodedBytes, kPad, kPad, kPad, kPad, kPad},
-     {Counter::kMpisimWireRawBytes, kPad},
+     {Counter::kMpisimWireRawBytes, kPad, kPad},
      /*warn_at=*/0.50, /*fail_at=*/0.90, /*higher_is_better=*/false,
      /*na_when_equal=*/true},
     // Torn-shard re-reads per engine snapshot. Sustained retries mean
@@ -69,21 +72,13 @@ constexpr std::array<Rule, 6> kRules = {{
     // back off, or depositors should batch (fewer epoch bumps).
     {"snapshot.retry_rate",
      {Counter::kEngineSnapshotRetries, kPad, kPad, kPad, kPad, kPad},
-     {Counter::kEngineSnapshots, kPad},
+     {Counter::kEngineSnapshots, kPad, kPad},
      /*warn_at=*/0.50, /*fail_at=*/2.00, /*higher_is_better=*/false},
 }};
 
+template <std::size_t N>
 std::uint64_t sum_counters(const trace::Snapshot& snap,
-                           const std::array<Counter, 6>& cs) {
-  std::uint64_t total = 0;
-  for (const Counter c : cs) {
-    if (c != kPad) total += snap.value(c);
-  }
-  return total;
-}
-
-std::uint64_t sum_counters(const trace::Snapshot& snap,
-                           const std::array<Counter, 2>& cs) {
+                           const std::array<Counter, N>& cs) {
   std::uint64_t total = 0;
   for (const Counter c : cs) {
     if (c != kPad) total += snap.value(c);

@@ -1,10 +1,10 @@
 // health — derived numeric-health indicators over hpsum_trace snapshots.
 //
-// Raw counters answer "how much happened"; operating a long-running
-// exact-summation service (ROADMAP: hpsum_serve) needs the next
-// derivative: "is what happened *healthy*?" This layer is a fixed rule
-// table that evaluates a Snapshot into named indicators, each a ratio of
-// catalog counters with ok/warn/fail thresholds:
+// Raw counters answer "how much happened"; `exact_sum_cli --health` and
+// tools/hpsum_top.py answer the next question: "is what happened
+// *healthy*?" This layer is a fixed rule table that evaluates a Snapshot
+// into named indicators, each a ratio of catalog counters with
+// ok/warn/fail thresholds:
 //
 //   scatter.fast_path_coverage  scatter deposits / all deposits — the share
 //                               of adds that took the paper's fast path
@@ -13,8 +13,9 @@
 //                               skipped the element-wise loop
 //   atomic.cas_retry_rate       CAS retries / CAS adds — contention on the
 //                               shared accumulator
-//   status.raise_rate           sticky-status raises / deposits — how often
-//                               the exactness contract had to flag loss
+//   status.raise_rate           sticky-status raises / (scatter + reference
+//                               + block deposits) — how often the
+//                               exactness contract had to flag loss
 //   mpisim.wire_compression     encoded / raw collective payload bytes —
 //                               whether the sparse codec is earning its keep
 //   snapshot.retry_rate         torn-shard re-reads / engine snapshots —

@@ -21,26 +21,10 @@
 
 #include "engine/engine.hpp"
 #include "trace/flight.hpp"
-#include "trace/trace.hpp"
 #include "util/omp_fence.hpp"
 #include "util/timer.hpp"
 
 namespace hpsum::backends {
-
-namespace detail {
-
-/// Folds a finished ScalingPoint's timings into the trace registry once,
-/// from the driver thread (never from inside the hot loops). A clock that
-/// misbehaves (negative delta, NaN from a bad ratio) must not poison the
-/// monotone counters, so the seconds->ns edge saturates via
-/// trace::saturating_ns instead of casting raw.
-inline void trace_point(double busy_total, double merge_time) noexcept {
-  trace::count(trace::Counter::kBackendReductions);
-  trace::count(trace::Counter::kBackendBusyNs, trace::saturating_ns(busy_total));
-  trace::count(trace::Counter::kBackendMergeNs, trace::saturating_ns(merge_time));
-}
-
-}  // namespace detail
 
 /// One strong-scaling data point.
 struct ScalingPoint {
@@ -117,7 +101,6 @@ template <class Acc>
     out.busy_total += b;  // hplint: allow(fp-accumulate) — wallclock stats, not summands
   }
   out.modeled_wall = out.busy_max + merge_time;
-  detail::trace_point(out.busy_total, merge_time);
   return out;
 }
 
@@ -174,7 +157,6 @@ template <class Acc>
     out.busy_total += b;  // hplint: allow(fp-accumulate) — wallclock stats, not summands
   }
   out.modeled_wall = out.busy_max + merge_time;
-  detail::trace_point(out.busy_total, merge_time);
   return out;
 }
 

@@ -52,24 +52,19 @@ class HpAtomic {
   void add(const Value& v) noexcept {
     or_shared_status(v.status());
     trace::count(trace::Counter::kAtomicCasAdds);
-    std::uint64_t retries = 0;
     or_shared_status(kernel::atomic_add(
-        [this, &retries](int i, util::Limb x) noexcept {
+        [this](int i, util::Limb x) noexcept {
           util::Limb old = limbs_[i].load(std::memory_order_relaxed);
           util::Limb desired = detail::wrap_add(old, x);
           while (!limbs_[i].compare_exchange_weak(
               old, desired, std::memory_order_relaxed,
               std::memory_order_relaxed)) {
             trace::count(trace::Counter::kAtomicCasRetries);
-            ++retries;
             desired = detail::wrap_add(old, x);
           }
           return old;
         },
         v.limbs().data(), N));
-    // Per-add distribution alongside the process total: contention shows
-    // up as the tail of this histogram long before the mean total moves.
-    trace::observe(trace::Hist::kAtomicCasRetriesPerAdd, retries);
     // A carry out of limb 0 wraps the full 64N-bit ring exactly as the
     // sequential adder wraps; departures from the representable range are
     // reported by kernel::atomic_add's sign rule, so the concurrent and
@@ -83,7 +78,6 @@ class HpAtomic {
   /// Ablation variant of add() using fetch_add instead of a CAS loop.
   void add_fetch_add(const Value& v) noexcept {
     or_shared_status(v.status());
-    trace::count(trace::Counter::kAtomicFetchAddAdds);
     or_shared_status(kernel::atomic_add(
         [this](int i, util::Limb x) noexcept {
           return limbs_[i].fetch_add(x, std::memory_order_relaxed);

@@ -45,7 +45,6 @@ HpDyn& HpDyn::operator+=(double r) noexcept {
 }
 
 HpDyn& HpDyn::accumulate(std::span<const double> xs) noexcept {
-  trace::count(trace::Counter::kBlockAccumulates);
   const int n = cfg_.n;
   // n+1 plane slots (kernel::block_flush's layout: slot 0 is the pad);
   // sized for the widest format.

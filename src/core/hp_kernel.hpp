@@ -240,12 +240,11 @@ HPSUM_ALLOW_UNSIGNED_WRAP
   HpStatus st = d.st;
   const bool sa = (a[0] >> 63) != 0;  // accumulator sign before the add
 
-  int chain = 0;  // limbs the carry/borrow propagated past the deposit pair
   if (!d.isneg) {
     bool carry = util::detail::addc(a[d.li], d.lo, false, &a[d.li]);
     if (d.li >= 1) {
       carry = util::detail::addc(a[d.li - 1], d.hi, carry, &a[d.li - 1]);
-      for (int i = d.li - 2; i >= 0 && carry; --i, ++chain) {
+      for (int i = d.li - 2; i >= 0 && carry; --i) {
         carry = ++a[i] == 0;
       }
     }
@@ -253,12 +252,11 @@ HPSUM_ALLOW_UNSIGNED_WRAP
     bool borrow = util::detail::subb(a[d.li], d.lo, false, &a[d.li]);
     if (d.li >= 1) {
       borrow = util::detail::subb(a[d.li - 1], d.hi, borrow, &a[d.li - 1]);
-      for (int i = d.li - 2; i >= 0 && borrow; --i, ++chain) {
+      for (int i = d.li - 2; i >= 0 && borrow; --i) {
         borrow = a[i]-- == 0;
       }
     }
   }
-  trace::count_carry_chain(chain);
   // add_impl's sign rule: the (virtual) addend is nonzero here, so its sign
   // is just the input's sign; compare against the result's sign.
   const bool sr = (a[0] >> 63) != 0;
@@ -420,10 +418,6 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
                            int& bound_exp, int& pending) noexcept {
   if (pending == 0) return;
   trace::count(trace::Counter::kBlockNormalizes);
-  trace::count(trace::Counter::kBlockFlushedDeposits,
-               static_cast<std::uint64_t>(pending));
-  trace::observe(trace::Hist::kBlockFlushDepth,
-                 static_cast<std::uint64_t>(pending));
   util::Limb pv[kMaxLimbs] = {};
   util::Limb nv[kMaxLimbs] = {};
   U128 c = 0;
@@ -449,15 +443,6 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
   util::add_into(span, util::ConstLimbSpan(pv, static_cast<std::size_t>(n)));
   // hplint: allow(discard-status) — ring-wrap is the scalar semantics
   util::sub_into(span, util::ConstLimbSpan(nv, static_cast<std::size_t>(n)));
-  if constexpr (trace::enabled()) {
-    // Live density indicator: nonzero limbs of the just-folded accumulator.
-    // Runtime-only — the occupancy walk must not slow constexpr proofs.
-    if (!std::is_constant_evaluated()) {
-      std::uint64_t occ = 0;
-      for (int j = 0; j < n; ++j) occ += a[j] != 0 ? 1u : 0u;
-      trace::gauge_set(trace::Gauge::kAccLimbOccupancy, occ);
-    }
-  }
   pending = 0;
   bound_exp = block_bound_exp(a, n);
 }
@@ -633,7 +618,6 @@ class BlockAccumulator {
 
   /// Deposits a block of doubles (the register-resident span loop).
   constexpr void accumulate(std::span<const double> xs) noexcept {
-    trace::count(trace::Counter::kBlockAccumulates);
     status_ |= kernel::block_accumulate(limbs_, pos_, neg_, N, K, bound_exp_,
                                         pending_, xs);
   }

@@ -5,7 +5,6 @@
 namespace hpsum {
 
 HpDyn reduce_hp(std::span<const double> xs, HpConfig cfg) {
-  const trace::HistTimer latency(trace::Hist::kReduceLatencyNs);
   const trace::flight::Span local_span(trace::flight::EventId::kLocalReduce,
                                        trace::flight::current_reduction_id(),
                                        xs.size());

@@ -7,27 +7,11 @@
 #include <thread>
 
 #include "trace/flight.hpp"
-#include "trace/trace.hpp"
 #include "util/timer.hpp"
 
-namespace {
-
-namespace flight = hpsum::trace::flight;
-
-/// Folds one launch's stats into the trace registry (host thread only).
-/// The seconds->ns edge saturates (negative/NaN -> 0) — a bad clock delta
-/// must never wrap a monotone counter.
-void trace_launch(const hpsum::cudasim::LaunchStats& stats) noexcept {
-  namespace trace = hpsum::trace;
-  trace::count(trace::Counter::kCudasimLaunches);
-  trace::count(trace::Counter::kCudasimCasRetries, stats.cas_retries);
-  trace::count(trace::Counter::kCudasimBusyNs,
-               trace::saturating_ns(stats.busy_total));
-}
-
-}  // namespace
-
 namespace hpsum::cudasim {
+
+namespace flight = trace::flight;
 
 Device::Device(DeviceProps props) : props_(std::move(props)) {
   if (props_.max_concurrent_threads < 1 || props_.sim_workers < 1 ||
@@ -56,7 +40,6 @@ void Device::dfree(void* ptr) {
 }
 
 void Device::memcpy_h2d(void* dst, const void* src, std::size_t bytes) {
-  trace::count(trace::Counter::kCudasimBytesH2D, bytes);
   const flight::Span copy_span(flight::EventId::kCudaMemcpyH2D,
                                flight::current_reduction_id(), bytes);
   std::memcpy(dst, src, bytes);
@@ -64,7 +47,6 @@ void Device::memcpy_h2d(void* dst, const void* src, std::size_t bytes) {
 }
 
 void Device::memcpy_d2h(void* dst, const void* src, std::size_t bytes) {
-  trace::count(trace::Counter::kCudasimBytesD2H, bytes);
   const flight::Span copy_span(flight::EventId::kCudaMemcpyD2H,
                                flight::current_reduction_id(), bytes);
   std::memcpy(dst, src, bytes);
@@ -122,7 +104,6 @@ LaunchStats Device::launch(int grid_dim, int block_dim, const Kernel& kernel) {
   stats.modeled_kernel_time = stats.busy_total / static_cast<double>(effective);
   stats.cas_retries =
       cas_retries_.load(std::memory_order_relaxed) - retries_before;
-  trace_launch(stats);
   return stats;
 }
 
@@ -185,7 +166,6 @@ LaunchStats Device::launch_phased(int grid_dim, int block_dim, int phases,
   stats.modeled_kernel_time = stats.busy_total / static_cast<double>(effective);
   stats.cas_retries =
       cas_retries_.load(std::memory_order_relaxed) - retries_before;
-  trace_launch(stats);
   return stats;
 }
 

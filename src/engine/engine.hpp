@@ -48,12 +48,12 @@
 //   it just pays an ordered access per word, which the uninstrumented
 //   build avoids.
 //
-// docs/ENGINE.md documents the lifecycle, protocol, and wire framing;
-// this layer is what the ROADMAP item 1 hpsum_serve service mounts on.
+// docs/ENGINE.md documents the lifecycle, protocol, and wire framing.
+// backends::run_threads / run_openmp and rblas::sum_parallel run on this
+// layer, and bench/e2e prices its live snapshot under deposit load.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -237,7 +237,8 @@ inline constexpr std::size_t kShardAlign = 64;
 
 /// Engine checkpoint wire framing over canonical HP images ("HE" header +
 /// length-prefixed docs/FORMAT.md frames; see docs/FORMAT.md §engine).
-/// Exposed for tests and for hpsum_serve's future checkpoint shipping.
+/// Exposed so tests can drive the framing and its malformed-input
+/// rejection without a ShardSet.
 [[nodiscard]] std::vector<std::byte> frame_checkpoint(
     const std::vector<HpDyn>& frames);
 /// Inverse of frame_checkpoint. Throws std::invalid_argument on bad
@@ -386,12 +387,8 @@ class ShardSet {
     Acc total = proto_;
     std::uint64_t retries = 0;
     std::vector<std::uint64_t> buf(words_per_shard_);
-    std::chrono::steady_clock::duration dt{};
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      // Timed from lock acquisition: the latency histogram prices the
-      // tear-free collect + merge, not the wait for the registry mutex.
-      const auto t0 = std::chrono::steady_clock::now();
       if (has_retired_) total.merge(retired_);
       Acc tmp = proto_;
       for (const auto& slot : slots_) {
@@ -399,15 +396,9 @@ class ShardSet {
         Codec::load(tmp, buf.data());
         total.merge(tmp);
       }
-      dt = std::chrono::steady_clock::now() - t0;
     }
     trace::count(trace::Counter::kEngineSnapshots);
     trace::count(trace::Counter::kEngineSnapshotRetries, retries);
-    trace::observe(
-        trace::Hist::kEngineSnapshotLatencyUs,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(dt)
-                .count()));
     return total;
   }
 
@@ -479,7 +470,6 @@ class ShardSet {
     slots_.push_back(std::make_unique<Slot>(proto_, words_per_shard_));
     Slot& slot = *slots_.back();
     publish(slot, words_per_shard_);
-    trace::count(trace::Counter::kEngineShardsRegistered);
     return &slot;
   }
 
@@ -496,7 +486,6 @@ class ShardSet {
         break;
       }
     }
-    trace::count(trace::Counter::kEngineShardsRetired);
   }
 
   /// Seqlock collect of one slot's published words into `buf`.

@@ -335,9 +335,6 @@ int Comm::size() const noexcept { return rt_->size(); }
 
 void Comm::send_raw(int dest, int tag, const void* buf, std::size_t bytes) {
   rt_->abort_check();
-  trace::count(trace::Counter::kMpisimMessages);
-  trace::count(trace::Counter::kMpisimBytesSent, bytes);
-  trace::observe(trace::Hist::kMpisimMsgBytes, bytes);
   rt_->note_message(bytes);
   flight::instant(
       flight::EventId::kMpiSend,
@@ -625,7 +622,7 @@ struct detail::Coll {
   }
 
   /// Start-of-collective bookkeeping shared by reduce and allreduce.
-  static void begin(const Op& op, ReduceAlgo algo) {
+  static void begin(const Op& op) {
     if (op.codec && !op.sticky_status) {
       throw std::invalid_argument(
           "mpisim: an Op with a wire codec requires sticky_status (the "
@@ -634,21 +631,6 @@ struct detail::Coll {
     op.reset_status();
     if (op.sticky_status && op.seed_status != 0) {
       op.sticky_status->fetch_or(op.seed_status, std::memory_order_relaxed);
-    }
-    trace::count(trace::Counter::kMpisimReductions);
-    switch (algo) {
-      case ReduceAlgo::kLinear:
-        trace::count(trace::Counter::kMpisimAlgoLinear);
-        break;
-      case ReduceAlgo::kBinomialTree:
-        trace::count(trace::Counter::kMpisimAlgoBinomialTree);
-        break;
-      case ReduceAlgo::kRecursiveDoubling:
-        trace::count(trace::Counter::kMpisimAlgoRecDoubling);
-        break;
-      case ReduceAlgo::kRecursiveHalving:
-        trace::count(trace::Counter::kMpisimAlgoRecHalving);
-        break;
     }
   }
 
@@ -845,7 +827,7 @@ struct detail::Coll {
                      const void* send_buf, void* recv_buf, std::size_t count,
                      const Datatype& dt, const Op& op, int root,
                      ReduceAlgo algo) {
-    begin(op, algo);
+    begin(op);
     ReduceAlgo effective = algo;
     if (count == 0 && (algo == ReduceAlgo::kRecursiveDoubling ||
                        algo == ReduceAlgo::kRecursiveHalving)) {
@@ -866,7 +848,7 @@ struct detail::Coll {
                         const void* send_buf, void* recv_buf,
                         std::size_t count, const Datatype& dt, const Op& op,
                         ReduceAlgo algo) {
-    begin(op, algo);
+    begin(op);
     ReduceAlgo effective = algo;
     if (count == 0 && (algo == ReduceAlgo::kRecursiveDoubling ||
                        algo == ReduceAlgo::kRecursiveHalving)) {

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "trace/trace.hpp"
-
 namespace hpsum::phisim {
 
 OffloadDevice::OffloadDevice(PhiProps props) : props_(props) {
@@ -13,8 +11,6 @@ OffloadDevice::OffloadDevice(PhiProps props) : props_(props) {
 }
 
 double OffloadDevice::upload(std::span<const double> xs) {
-  trace::count(trace::Counter::kPhisimOffloads);
-  trace::count(trace::Counter::kPhisimBytesUploaded, xs.size_bytes());
   device_buf_.assign(xs.begin(), xs.end());
   return static_cast<double>(xs.size_bytes()) / props_.transfer_bandwidth;
 }

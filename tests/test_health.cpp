@@ -1,14 +1,17 @@
 // Tests for the derived numeric-health layer (src/audit/health.*): the
 // rule catalog evaluates trace snapshots into named ok/warn/fail
 // indicators. Snapshots are constructed directly (they are plain data),
-// so every judgment path is testable in ON and OFF builds alike.
+// so every judgment path is testable in ON and OFF builds alike; one
+// end-to-end case reads the delta of a real reduction.
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "audit/health.hpp"
+#include "core/reduce.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -121,6 +124,37 @@ TEST(Health, StatusRaiseRateSumsEveryStickyBit) {
   EXPECT_EQ(level_of(base(24), "status.raise_rate"), HealthLevel::kOk);
   EXPECT_EQ(level_of(base(8), "status.raise_rate"), HealthLevel::kWarn);
   EXPECT_EQ(level_of(base(4), "status.raise_rate"), HealthLevel::kFail);
+}
+
+TEST(Health, StatusRaiseRateCountsBlockPathDeposits) {
+  using C = trace::Counter;
+  // Block-path deposits are deposits: raises over block deposits alone
+  // are a rate, not n/a.
+  EXPECT_EQ(level_of(snap_with({{C::kStatusInexact, 90},
+                                {C::kBlockDeposits, 100}}),
+                     "status.raise_rate"),
+            HealthLevel::kFail);
+  // End to end: a span reduction whose every tiny summand falls below
+  // HP(2,1)'s lsb raises kInexact once per such deposit, all on the block
+  // path (no scatter or reference calls).
+  std::vector<double> xs(10000, 1e-30);
+  xs.push_back(1.0);
+  const trace::Snapshot before = trace::snapshot();
+  const hpsum::HpDyn acc = hpsum::reduce_hp(xs, hpsum::HpConfig{2, 1});
+  const trace::Snapshot d = trace::snapshot().delta_since(before);
+  EXPECT_TRUE(hpsum::has(acc.status(), hpsum::HpStatus::kInexact));
+  const auto ind = audit::find_indicator(audit::evaluate_health(d),
+                                         "status.raise_rate");
+  ASSERT_TRUE(ind.has_value());
+  if constexpr (trace::enabled()) {
+    EXPECT_EQ(d.value(C::kScatterAddCalls) + d.value(C::kReferenceAddCalls),
+              0u);
+    EXPECT_EQ(ind->numerator, 10000u);
+    EXPECT_EQ(ind->denominator, 10001u);
+    EXPECT_EQ(ind->level, HealthLevel::kFail);
+  } else {
+    EXPECT_EQ(ind->level, HealthLevel::kNotApplicable);
+  }
 }
 
 TEST(Health, WireCompressionIdentityIsNotApplicable) {

@@ -8,6 +8,7 @@
 // disabled-contract test takes over (arm() writes a header-only stream
 // with "enabled": false and reports failure).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -37,8 +38,6 @@ std::vector<std::string> read_lines(const std::string& path) {
 }
 
 std::size_t idx(trace::Counter c) { return static_cast<std::size_t>(c); }
-std::size_t idx(trace::Hist h) { return static_cast<std::size_t>(h); }
-std::size_t idx(trace::Gauge g) { return static_cast<std::size_t>(g); }
 
 // --- render helpers (build-independent) -----------------------------------
 
@@ -46,7 +45,7 @@ TEST(PulseRender, HeaderCarriesVersionEnabledIntervalEpoch) {
   pulse::Config cfg;
   cfg.interval = std::chrono::milliseconds(125);
   const std::string h = pulse::jsonl_header(cfg, 1234);
-  EXPECT_NE(h.find("\"hpsum_pulse\": 1"), std::string::npos) << h;
+  EXPECT_NE(h.find("\"hpsum_pulse\": 2"), std::string::npos) << h;
   EXPECT_NE(h.find("\"interval_ms\": 125"), std::string::npos) << h;
   EXPECT_NE(h.find("\"epoch_ms\": 1234"), std::string::npos) << h;
   const char* want =
@@ -56,67 +55,35 @@ TEST(PulseRender, HeaderCarriesVersionEnabledIntervalEpoch) {
   EXPECT_EQ(h.back(), '}');
 }
 
-TEST(PulseRender, TickEmitsSparseDeltasAndEveryGauge) {
+TEST(PulseRender, TickEmitsNonzeroCounterDeltasOnly) {
   trace::Snapshot d;
   d.values[idx(trace::Counter::kScatterAddCalls)] = 3;
-  auto& hd = d.hists[idx(trace::Hist::kMpisimMsgBytes)];
-  hd.count = 2;
-  hd.sum = 12;
-  hd.buckets[4] = 2;
-  d.gauges[idx(trace::Gauge::kAccLimbOccupancy)] = 6;
+  d.values[idx(trace::Counter::kBlockDeposits)] = 8;
 
   const std::string line = pulse::jsonl_tick(d, 999, 7);
-  EXPECT_NE(line.find("\"seq\": 7"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"ts_ms\": 999"), std::string::npos) << line;
-  // Nonzero counter present; zero counters elided.
-  EXPECT_NE(line.find("\"core.scatter_add.calls\": 3"), std::string::npos);
-  EXPECT_EQ(line.find("\"core.reference_add.calls\""), std::string::npos);
-  // Sparse histogram: only bucket 4, with count/sum.
-  EXPECT_NE(line.find("\"mpisim.msg_bytes\": {\"count\": 2, \"sum\": 12, "
-                      "\"buckets\": {\"4\": 2}}"),
-            std::string::npos)
-      << line;
-  // Zero-count histograms elided entirely.
-  EXPECT_EQ(line.find("\"core.reduce.latency_ns\""), std::string::npos);
-  // Gauges are levels, not deltas: every one is present every tick.
-  for (std::size_t g = 0; g < trace::kGaugeCount; ++g) {
-    const std::string key =
-        '"' + std::string(trace::gauge_name(static_cast<trace::Gauge>(g))) +
-        '"';
-    EXPECT_NE(line.find(key), std::string::npos) << key;
-  }
-  EXPECT_NE(line.find("\"core.block.limb_occupancy\": 6"), std::string::npos);
+  EXPECT_EQ(line,
+            "{\"seq\": 7, \"ts_ms\": 999, \"counters\": "
+            "{\"core.scatter_add.calls\": 3, \"core.block.deposits\": 8}}");
+  // An all-zero delta still renders a well-formed, empty tick.
+  EXPECT_EQ(pulse::jsonl_tick(trace::Snapshot{}, 5, 1),
+            "{\"seq\": 1, \"ts_ms\": 5, \"counters\": {}}");
 }
 
-TEST(PulseRender, PrometheusCumulativeBucketsSuffixesAndNames) {
+TEST(PulseRender, PrometheusCountersCarryTotalSuffixAndNames) {
   trace::Snapshot t;
   t.values[idx(trace::Counter::kScatterAddCalls)] = 5;
-  auto& hd = t.hists[idx(trace::Hist::kMpisimMsgBytes)];
-  hd.buckets[0] = 1;  // value 0
-  hd.buckets[3] = 2;  // values 4..7
-  hd.count = 3;
-  hd.sum = 12;
-  t.gauges[idx(trace::Gauge::kAccLimbOccupancy)] = 6;
 
   const std::string out = pulse::to_prometheus(t);
   EXPECT_NE(out.find("# TYPE hpsum_core_scatter_add_calls counter\n"
                      "hpsum_core_scatter_add_calls_total 5\n"),
             std::string::npos);
-  // Buckets are cumulative with integer le bounds from hist_bucket_le.
-  EXPECT_NE(out.find("hpsum_mpisim_msg_bytes_bucket{le=\"0\"} 1\n"),
+  // Every catalog entry gets a TYPE line and a sample even at zero, and
+  // nothing else is emitted.
+  EXPECT_NE(out.find("# TYPE hpsum_core_reference_add_calls counter\n"
+                     "hpsum_core_reference_add_calls_total 0\n"),
             std::string::npos);
-  EXPECT_NE(out.find("hpsum_mpisim_msg_bytes_bucket{le=\"7\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(out.find("hpsum_mpisim_msg_bytes_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(out.find("hpsum_mpisim_msg_bytes_sum 12\n"), std::string::npos);
-  EXPECT_NE(out.find("hpsum_mpisim_msg_bytes_count 3\n"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE hpsum_core_block_limb_occupancy gauge\n"
-                     "hpsum_core_block_limb_occupancy 6\n"),
-            std::string::npos);
-  // Every catalog entry gets a TYPE line even at zero.
-  EXPECT_NE(out.find("# TYPE hpsum_core_reference_add_calls counter"),
-            std::string::npos);
+  EXPECT_EQ(static_cast<std::size_t>(std::count(out.begin(), out.end(), '\n')),
+            2 * trace::kCounterCount);
 }
 
 // --- lifecycle -------------------------------------------------------------
@@ -134,8 +101,6 @@ TEST(PulseLifecycle, ArmTickDisarmProducesStreamAndExposition) {
   EXPECT_FALSE(pulse::arm(cfg)) << "double-arm must be rejected";
 
   trace::count(trace::Counter::kScatterAddCalls, 10);
-  trace::observe(trace::Hist::kMpisimMsgBytes, 64);
-  trace::gauge_set(trace::Gauge::kAccLimbOccupancy, 6);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   pulse::disarm();
@@ -145,7 +110,7 @@ TEST(PulseLifecycle, ArmTickDisarmProducesStreamAndExposition) {
 
   const auto lines = read_lines(cfg.jsonl_path);
   ASSERT_GE(lines.size(), 2u) << "header + at least the final tick";
-  EXPECT_NE(lines[0].find("\"hpsum_pulse\": 1"), std::string::npos);
+  EXPECT_NE(lines[0].find("\"hpsum_pulse\": 2"), std::string::npos);
   EXPECT_NE(lines[0].find("\"enabled\": true"), std::string::npos);
   for (const std::string& line : lines) {
     EXPECT_EQ(line.front(), '{') << line;
@@ -190,16 +155,9 @@ TEST(PulseLifecycle, DisabledBuildWritesHeaderOnlyStream) {
 // The sampler thread snapshots at 1 ms while four writer threads hammer the
 // probes and two reader threads take their own snapshots. TSan proves the
 // absence of data races; the asserts prove the absence of logical tearing:
-// totals (counters, per-bucket histogram counts, count/sum) only grow, and
-// a gauge read observes exactly a value some writer stored — never a
-// half-updated word.
+// every counter total only grows.
 TEST(PulseConcurrency, SamplerVsProbeWritersVsSnapshotReaders) {
   if (!trace::enabled()) GTEST_SKIP() << "HPSUM_TRACE=OFF";
-  constexpr std::uint64_t kPatternA = 0xAAAAAAAAAAAAAAAAull;
-  constexpr std::uint64_t kPatternB = 0x5555555555555555ull;
-  const std::uint64_t initial_gauge =
-      trace::snapshot().gauge(trace::Gauge::kAccLimbOccupancy);
-
   pulse::Config cfg;
   cfg.jsonl_path = ::testing::TempDir() + "/pulse_tsan.jsonl";
   cfg.interval = std::chrono::milliseconds(1);
@@ -208,43 +166,23 @@ TEST(PulseConcurrency, SamplerVsProbeWritersVsSnapshotReaders) {
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (int w = 0; w < 4; ++w) {
-    threads.emplace_back([&stop, w] {
-      std::uint64_t i = 0;
+    threads.emplace_back([&stop] {
       while (!stop.load(std::memory_order_relaxed)) {
         trace::count(trace::Counter::kScatterAddCalls);
-        trace::observe(trace::Hist::kMpisimMsgBytes, i % 513);
-        trace::gauge_set(trace::Gauge::kAccLimbOccupancy,
-                         (i + static_cast<std::uint64_t>(w)) % 2 == 0
-                             ? kPatternA
-                             : kPatternB);
-        ++i;
+        trace::count(trace::Counter::kMpisimWireRawBytes, 64);
       }
     });
   }
   std::atomic<bool> monotone{true};
-  std::atomic<bool> gauge_clean{true};
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&] {
       trace::Snapshot prev;
       while (!stop.load(std::memory_order_relaxed)) {
         const trace::Snapshot cur = trace::snapshot();
-        if (cur.value(trace::Counter::kScatterAddCalls) <
-            prev.value(trace::Counter::kScatterAddCalls)) {
-          monotone.store(false, std::memory_order_relaxed);
-        }
-        const auto& ch = cur.hist(trace::Hist::kMpisimMsgBytes);
-        const auto& ph = prev.hist(trace::Hist::kMpisimMsgBytes);
-        for (std::size_t b = 0; b < trace::kHistBuckets; ++b) {
-          if (ch.buckets[b] < ph.buckets[b]) {
+        for (std::size_t i = 0; i < trace::kCounterCount; ++i) {
+          if (cur.values[i] < prev.values[i]) {
             monotone.store(false, std::memory_order_relaxed);
           }
-        }
-        if (ch.count < ph.count || ch.sum < ph.sum) {
-          monotone.store(false, std::memory_order_relaxed);
-        }
-        const std::uint64_t g = cur.gauge(trace::Gauge::kAccLimbOccupancy);
-        if (g != kPatternA && g != kPatternB && g != initial_gauge) {
-          gauge_clean.store(false, std::memory_order_relaxed);
         }
         prev = cur;
       }
@@ -257,7 +195,6 @@ TEST(PulseConcurrency, SamplerVsProbeWritersVsSnapshotReaders) {
   pulse::disarm();
 
   EXPECT_TRUE(monotone.load()) << "a snapshot observed a shrinking total";
-  EXPECT_TRUE(gauge_clean.load()) << "a gauge read tore";
   EXPECT_GE(pulse::ticks(), 2u);
   const auto lines = read_lines(cfg.jsonl_path);
   ASSERT_GE(lines.size(), 3u);

@@ -497,7 +497,7 @@ void check_l5(std::string_view path, const std::vector<Line>& lines,
                      Rule::kRawTelemetry,
                      std::string(b.what) + " in kernel code",
                      "route kernel observability through hpsum::trace "
-                     "counters (trace::count / trace::ScopedTimer) so it "
+                     "counters (trace::count) so it "
                      "stays compile-out-able and machine-readable, or "
                      "annotate `// hplint: allow(raw-telemetry)`"});
       break;

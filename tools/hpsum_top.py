@@ -6,9 +6,6 @@ appends to, and renders a refreshing top-style view:
 
   * per-tick counter *rates* (delta / tick wall time) for the busiest
     counters, plus cumulative totals accumulated from the deltas,
-  * log2-bucket histogram sparklines (the bucket scheme of
-    trace::hist_bucket_index: bucket 0 = value 0, bucket i = bit_width i),
-  * current gauge levels,
   * the derived health indicators of src/audit/health.cpp — the same
     ratios and ok/warn/fail thresholds, recomputed in Python over the
     accumulated totals so the dashboard needs nothing but the stream.
@@ -31,12 +28,10 @@ import json
 import sys
 import time
 
-HIST_BUCKETS = 48
-SPARK = " .:-=+*#%@"
-
 # The health-rule catalog, mirroring src/audit/health.cpp (name,
 # numerator counters, denominator counters, warn_at, fail_at,
-# higher_is_better, na_when_equal).
+# higher_is_better, na_when_equal). tools/telemetry_smoke.py checks that
+# this copy evaluates exactly like the C++ table.
 HEALTH_RULES = [
     ("scatter.fast_path_coverage",
      ["core.scatter_add.calls"],
@@ -54,7 +49,8 @@ HEALTH_RULES = [
      ["core.status_raise.convert_overflow", "core.status_raise.add_overflow",
       "core.status_raise.to_double_overflow", "core.status_raise.inexact",
       "core.status_raise.to_double_inexact", "core.status_raise.invalid_op"],
-     ["core.scatter_add.calls", "core.reference_add.calls"],
+     ["core.scatter_add.calls", "core.reference_add.calls",
+      "core.block.deposits"],
      0.25, 0.75, False, False),
     ("mpisim.wire_compression",
      ["mpisim.wire.encoded_bytes"],
@@ -74,8 +70,6 @@ class State:
     def __init__(self, header):
         self.header = header
         self.counters = {}       # cumulative totals from deltas
-        self.hists = {}          # name -> {"count", "sum", "buckets": [48]}
-        self.gauges = {}
         self.last_tick = None
         self.prev_ts = header.get("epoch_ms", 0)
         self.last_dt_ms = header.get("interval_ms", 250)
@@ -89,16 +83,6 @@ class State:
         self.last_tick = tick
         for name, v in tick.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + v
-        for name, h in tick.get("histograms", {}).items():
-            acc = self.hists.setdefault(
-                name, {"count": 0, "sum": 0, "buckets": [0] * HIST_BUCKETS})
-            acc["count"] += h.get("count", 0)
-            acc["sum"] += h.get("sum", 0)
-            for idx, c in h.get("buckets", {}).items():
-                i = int(idx)
-                if 0 <= i < HIST_BUCKETS:
-                    acc["buckets"][i] += c
-        self.gauges.update(tick.get("gauges", {}))
 
 
 def judge(ratio, warn_at, fail_at, higher_is_better):
@@ -112,27 +96,21 @@ def judge(ratio, warn_at, fail_at, higher_is_better):
 
 
 def health_rows(counters):
+    """Evaluates every rule over `counters` (name -> total). Each row has
+    the fields of one "indicators" entry of the C++ --health JSON."""
     rows = []
     for name, num, den, warn_at, fail_at, hib, na_eq in HEALTH_RULES:
         n = sum(counters.get(c, 0) for c in num)
         d = sum(counters.get(c, 0) for c in den)
-        if d == 0 or (na_eq and n == d):
-            rows.append((name, "n/a", 0.0))
-            continue
-        ratio = n / d
-        rows.append((name, judge(ratio, warn_at, fail_at, hib), ratio))
+        na = d == 0 or (na_eq and n == d)
+        ratio = 0.0 if na else n / d
+        rows.append({"name": name,
+                     "level": "n/a" if na else judge(ratio, warn_at,
+                                                     fail_at, hib),
+                     "ratio": ratio, "numerator": n, "denominator": d,
+                     "warn_at": warn_at, "fail_at": fail_at,
+                     "higher_is_better": hib})
     return rows
-
-
-def sparkline(buckets):
-    peak = max(buckets) or 1
-    lo = next((i for i, b in enumerate(buckets) if b), 0)
-    hi = max(i for i, b in enumerate(buckets) if b) if any(buckets) else 0
-    cells = []
-    for b in buckets[lo:hi + 1]:
-        cells.append(SPARK[min(int(b / peak * (len(SPARK) - 1) + 0.5),
-                               len(SPARK) - 1)])
-    return lo, hi, "".join(cells)
 
 
 def render(state, color=True):
@@ -147,9 +125,11 @@ def render(state, color=True):
                  f" ms, {state.ticks} ticks, last dt {state.last_dt_ms} ms)")
     lines.append("")
     lines.append("HEALTH")
-    for name, level, ratio in health_rows(state.counters):
-        shown = f"{ratio:8.3f}" if level != "n/a" else "       —"
-        lines.append(f"  {paint(level, f'{level:>4}')}  {name:30s} {shown}")
+    for row in health_rows(state.counters):
+        level = row["level"]
+        shown = f"{row['ratio']:8.3f}" if level != "n/a" else "       —"
+        lines.append(f"  {paint(level, f'{level:>4}')}  {row['name']:30s} "
+                     f"{shown}")
     lines.append("")
     lines.append(f"{'COUNTER':36s} {'RATE/s':>14s} {'TOTAL':>16s}")
     last = state.last_tick.get("counters", {}) if state.last_tick else {}
@@ -158,21 +138,6 @@ def render(state, color=True):
     for name in busiest:
         rate = last.get(name, 0) / dt_s
         lines.append(f"{name:36s} {rate:>14,.0f} {state.counters[name]:>16,}")
-    if state.hists:
-        lines.append("")
-        lines.append("HISTOGRAMS (log2 buckets)")
-        for name, h in sorted(state.hists.items()):
-            if h["count"] == 0:
-                continue
-            lo, hi, spark = sparkline(h["buckets"])
-            mean = h["sum"] / h["count"]
-            lines.append(f"  {name:30s} n={h['count']:<12,} mean={mean:<12,.1f}"
-                         f" 2^{max(lo - 1, 0)}..2^{hi} |{spark}|")
-    if state.gauges:
-        lines.append("")
-        lines.append("GAUGES")
-        for name, v in sorted(state.gauges.items()):
-            lines.append(f"  {name:36s} {v:>16,}")
     return "\n".join(lines)
 
 
@@ -192,7 +157,7 @@ def follow(path, args):
                 except json.JSONDecodeError:
                     continue  # partially-written tail line; retry on next read
                 if state is None:
-                    if doc.get("hpsum_pulse") != 1:
+                    if doc.get("hpsum_pulse") != 2:
                         print("hpsum_top: not a pulse stream (bad header)",
                               file=sys.stderr)
                         return 2
