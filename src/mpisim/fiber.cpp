@@ -3,6 +3,8 @@
 #if HPSUM_MPISIM_HAS_FIBERS
 
 #include <cassert>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 
 #if defined(__SANITIZE_THREAD__) && __has_include(<sanitizer/tsan_interface.h>)
@@ -20,10 +22,61 @@
 #define HPSUM_FIBER_ASAN 0
 #endif
 
+// void hpsum_mpisim_fiber_switch(void** save_sp, void* load_sp)
+//
+// Pushes the callee-saved registers, stores the x87 control word and the
+// MXCSR below them, saves rsp to *save_sp, loads load_sp and pops the same
+// frame from there (SwitchFrame below). Caller-saved registers need no
+// saving: to the compiler this is an ordinary call.
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl hpsum_mpisim_fiber_switch
+  .hidden hpsum_mpisim_fiber_switch
+  .type hpsum_mpisim_fiber_switch, @function
+hpsum_mpisim_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size hpsum_mpisim_fiber_switch, .-hpsum_mpisim_fiber_switch
+  .popsection
+)");
+
+extern "C" void hpsum_mpisim_fiber_switch(void** save_sp, void* load_sp);
+
 namespace hpsum::mpisim::detail {
 
 namespace {
 thread_local Fiber* tl_current_fiber = nullptr;
+
+/// The frame hpsum_mpisim_fiber_switch leaves at the saved rsp and pops,
+/// lowest address first; `ret_pad` exists only in a new fiber's frame.
+struct SwitchFrame {
+  std::uint64_t x87_cw;
+  std::uint64_t mxcsr;
+  std::uint64_t r15, r14, r13, r12, rbx, rbp;
+  std::uint64_t ret;       ///< where the switch returns: the trampoline
+  std::uint64_t ret_pad;   ///< the trampoline's own (null) return address
+};
+static_assert(sizeof(SwitchFrame) == 80);
 }  // namespace
 
 Fiber* Fiber::current() noexcept { return tl_current_fiber; }
@@ -32,11 +85,23 @@ Fiber::Fiber(std::size_t stack_bytes, std::function<void()> fn)
     : stack_(new std::byte[stack_bytes]),
       stack_bytes_(stack_bytes),
       fn_(std::move(fn)) {
-  getcontext(&ctx_);
-  ctx_.uc_stack.ss_sp = stack_.get();
-  ctx_.uc_stack.ss_size = stack_bytes_;
-  ctx_.uc_link = nullptr;  // trampoline never returns; see below
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
+  assert(stack_bytes_ >= 2 * sizeof(SwitchFrame) && "fiber stack too small");
+  // The first resume "returns" into the trampoline from a hand-built
+  // switch frame. `ret` sits 16-byte aligned, so the trampoline starts with
+  // rsp % 16 == 8, as after a call; its null return address ends unwinds.
+  // The fiber starts with the constructing thread's floating-point control
+  // state.
+  const auto top = (reinterpret_cast<std::uintptr_t>(stack_.get()) +
+                    stack_bytes_) & ~std::uintptr_t{15};
+  SwitchFrame frame{};
+  std::uint16_t x87_cw = 0;
+  asm volatile("fnstcw %0" : "=m"(x87_cw));
+  frame.x87_cw = x87_cw;
+  frame.mxcsr = __builtin_ia32_stmxcsr();
+  frame.ret = reinterpret_cast<std::uintptr_t>(&Fiber::trampoline);
+  const std::uintptr_t at = top - sizeof(SwitchFrame);
+  std::memcpy(reinterpret_cast<void*>(at), &frame, sizeof frame);
+  sp_ = reinterpret_cast<void*>(at);
 #if HPSUM_FIBER_TSAN
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -60,9 +125,8 @@ void Fiber::trampoline() {
 #endif
   f->fn_();
   f->finished_ = true;
-  // With uc_link == nullptr, returning from a makecontext entry point
-  // exits the thread — never return; the final yield releases control
-  // for good (finished fibers are not resumed).
+  // There is nothing to return to — never return; the final yield
+  // releases control for good (finished fibers are not resumed).
   for (;;) Fiber::yield();
 }
 
@@ -79,7 +143,7 @@ void Fiber::resume() {
   tsan_sched_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&sched_, &ctx_);
+  hpsum_mpisim_fiber_switch(&sched_sp_, sp_);
 #if HPSUM_FIBER_ASAN
   __sanitizer_finish_switch_fiber(asan_sched_fake_, nullptr, nullptr);
 #endif
@@ -97,7 +161,7 @@ void Fiber::yield() {
 #if HPSUM_FIBER_TSAN
   __tsan_switch_to_fiber(f->tsan_sched_, 0);
 #endif
-  swapcontext(&f->ctx_, &f->sched_);
+  hpsum_mpisim_fiber_switch(&f->sp_, f->sched_sp_);
 #if HPSUM_FIBER_ASAN
   __sanitizer_finish_switch_fiber(f->asan_fiber_fake_, &f->asan_sched_bottom_,
                                   &f->asan_sched_size_);

@@ -1,24 +1,30 @@
 // Cooperative stackful fibers for the multiplexed mpisim engine
-// (docs/MPISIM.md §"Multiplexed execution"). One fiber per simulated rank,
+// (docs/MPISIM.md §"Execution engines"). One fiber per simulated rank,
 // many fibers per worker thread: a rank body that blocks in recv/barrier
 // yields its worker instead of parking an OS thread, which is what lets
 // mpisim::run scale to thousands of ranks on a handful of threads.
 //
-// Implementation: POSIX ucontext (makecontext/swapcontext) with the
-// sanitizer fiber-switching annotations — TSan's __tsan_switch_to_fiber
-// and ASan's __sanitizer_start/finish_switch_fiber — so the full test
-// suite keeps running under the ASan/UBSan and TSan CI jobs. A fiber is
-// resumed only from its owning worker thread; switching is invisible to
-// the code running inside (thread_locals resolve to the worker).
+// Implementation: a hand-written x86-64 stack switch (fiber.cpp). It saves
+// the System V callee-saved state — rbp, rbx, r12-r15, the MXCSR and the
+// x87 control word — on the running stack, swaps rsp, and restores the
+// same set from the other stack: no syscall, unlike glibc swapcontext,
+// which also swaps the signal mask. A new fiber's first frame is built by
+// hand at the 16-byte-aligned top of its stack and returns into the
+// trampoline. The sanitizer fiber-switching annotations — TSan's
+// __tsan_switch_to_fiber and ASan's __sanitizer_start/finish_switch_fiber —
+// keep the full test suite running under the ASan/UBSan and TSan CI jobs.
+// The switch does not maintain a CET shadow stack. A fiber is resumed only
+// from its owning worker thread; switching is invisible to the code running
+// inside (thread_locals resolve to the worker). Other targets have no
+// fibers: mpisim::run falls back to one thread per rank.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
 
-#if defined(__linux__) && __has_include(<ucontext.h>)
+#if defined(__linux__) && defined(__x86_64__)
 #define HPSUM_MPISIM_HAS_FIBERS 1
-#include <ucontext.h>
 #else
 #define HPSUM_MPISIM_HAS_FIBERS 0
 #endif
@@ -55,8 +61,8 @@ class Fiber {
  private:
   static void trampoline();
 
-  ucontext_t ctx_{};
-  ucontext_t sched_{};
+  void* sp_ = nullptr;        ///< saved stack pointer while suspended
+  void* sched_sp_ = nullptr;  ///< resume() caller's saved stack pointer
   std::unique_ptr<std::byte[]> stack_;
   std::size_t stack_bytes_;
   std::function<void()> fn_;

@@ -1030,6 +1030,10 @@ void run(int nranks, const std::function<void(Comm&)>& body,
   if (nranks < 1) {
     throw std::invalid_argument("mpisim::run: nranks must be >= 1");
   }
+  if (opts.stack_bytes < kMinStackBytes) {
+    throw std::invalid_argument(
+        "mpisim::run: stack_bytes must be >= kMinStackBytes (16 KiB)");
+  }
   RunMode mode = opts.mode;
   if (mode == RunMode::kAuto) {
     mode = nranks <= kAutoThreadLimit ? RunMode::kThreads

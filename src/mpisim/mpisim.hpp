@@ -236,13 +236,17 @@ struct RunStats {
   RunMode mode = RunMode::kThreads;     ///< resolved execution mode
 };
 
+/// Smallest RunOptions::stack_bytes run() accepts.
+inline constexpr std::size_t kMinStackBytes = 16 * 1024;
+
 /// Tuning knobs for run(). Defaults reproduce the historical behavior for
 /// small rank counts and switch to the multiplexed engine for large ones.
 struct RunOptions {
   RunMode mode = RunMode::kAuto;
   /// Worker threads for kMultiplexed (0 = hardware concurrency).
   int workers = 0;
-  /// Stack bytes per fiber in kMultiplexed.
+  /// Stack bytes per fiber in kMultiplexed. run() throws
+  /// std::invalid_argument below kMinStackBytes, whatever the mode.
   std::size_t stack_bytes = 256 * 1024;
   /// When non-null, filled with this run's statistics on completion.
   RunStats* stats = nullptr;
@@ -400,7 +404,8 @@ class Comm::Group {
 /// RunOptions) and waits for completion. If any rank body throws, the
 /// runtime is poisoned: every other rank blocked in a communication call
 /// aborts with RankAborted (no deadlock), and the first original error is
-/// rethrown here.
+/// rethrown here. Throws std::invalid_argument, before any rank starts, if
+/// nranks < 1 or opts.stack_bytes < kMinStackBytes.
 void run(int nranks, const std::function<void(Comm&)>& body,
          const RunOptions& opts);
 void run(int nranks, const std::function<void(Comm&)>& body);

@@ -1,5 +1,6 @@
 #include "mpisim/wire.hpp"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -18,22 +19,27 @@ constexpr std::uint8_t kCodeExplicit = 2;
   throw std::invalid_argument("mpisim::wire: malformed message: " + what);
 }
 
-/// [first, last] of the bytes differing from `fill`, or len 0 if none.
+/// The limb as one word whose bits 8j..8j+7 are limb[j] (the wire's byte
+/// order), on hosts of either endianness.
+std::uint64_t load_limb(const std::byte* limb) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, limb, kLimbBytes);
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
+/// The bytes of a limb that differ from its fill: `diff` is the limb XOR
+/// the fill word, nonzero; first = lowest differing byte.
 struct Span {
-  std::size_t first = 0;
-  std::size_t len = 0;
+  std::size_t first;
+  std::size_t len;
 };
 
-Span span_vs_fill(const std::byte* limb, std::byte fill) {
-  std::size_t first = kLimbBytes;
-  std::size_t last = 0;
-  for (std::size_t j = 0; j < kLimbBytes; ++j) {
-    if (limb[j] != fill) {
-      if (first == kLimbBytes) first = j;
-      last = j;
-    }
-  }
-  if (first == kLimbBytes) return {0, 0};
+Span span_of(std::uint64_t diff) {
+  const auto first = static_cast<std::size_t>(std::countr_zero(diff)) / 8;
+  const auto last = 7 - static_cast<std::size_t>(std::countl_zero(diff)) / 8;
   return {first, last - first + 1};
 }
 
@@ -42,39 +48,39 @@ Span span_vs_fill(const std::byte* limb, std::byte fill) {
 std::vector<std::byte> encode(const std::byte* raw, std::size_t count, int n,
                               std::uint8_t status) {
   const std::size_t map_bytes = (static_cast<std::size_t>(n) + 3) / 4;
-  std::vector<std::byte> out;
-  out.reserve(encoded_bound(n, count));
-  out.push_back(static_cast<std::byte>(status));
+  // Zero-initialized, so every map starts as all kCodeZeros.
+  std::vector<std::byte> out(encoded_bound(n, count));
+  std::byte* p = out.data();
+  *p++ = static_cast<std::byte>(status);
   for (std::size_t e = 0; e < count; ++e) {
     const std::byte* elem = raw + e * static_cast<std::size_t>(n) * kLimbBytes;
-    const std::size_t map_at = out.size();
-    out.resize(out.size() + map_bytes);  // zero-initialized: kCodeZeros
+    std::byte* map = p;
+    p += map_bytes;
     for (int i = 0; i < n; ++i) {
       const std::byte* limb = elem + static_cast<std::size_t>(i) * kLimbBytes;
-      const Span zero_span = span_vs_fill(limb, std::byte{0x00});
-      std::uint8_t code;
-      if (zero_span.len == 0) {
+      const std::uint64_t w = load_limb(limb);
+      std::uint8_t code = kCodeExplicit;
+      if (w == 0) {
         code = kCodeZeros;
+      } else if (w == ~std::uint64_t{0}) {
+        code = kCodeOnes;
       } else {
-        const Span ones_span = span_vs_fill(limb, std::byte{0xFF});
-        if (ones_span.len == 0) {
-          code = kCodeOnes;
-        } else {
-          code = kCodeExplicit;
-          const bool use_ones = ones_span.len < zero_span.len;
-          const Span s = use_ones ? ones_span : zero_span;
-          const std::uint8_t desc = static_cast<std::uint8_t>(
-              s.first | ((s.len - 1) << 3) | (use_ones ? 0x40u : 0u));
-          out.push_back(static_cast<std::byte>(desc));
-          out.insert(out.end(), limb + s.first, limb + s.first + s.len);
-        }
+        const Span zero_span = span_of(w);
+        const Span ones_span = span_of(~w);
+        const bool use_ones = ones_span.len < zero_span.len;
+        const Span s = use_ones ? ones_span : zero_span;
+        *p++ = static_cast<std::byte>(s.first | ((s.len - 1) << 3) |
+                                      (use_ones ? 0x40u : 0u));
+        std::memcpy(p, limb + s.first, s.len);
+        p += s.len;
       }
       if (code != kCodeZeros) {
-        out[map_at + static_cast<std::size_t>(i) / 4] |=
+        map[static_cast<std::size_t>(i) / 4] |=
             static_cast<std::byte>(code << (2 * (i % 4)));
       }
     }
   }
+  out.resize(static_cast<std::size_t>(p - out.data()));
   return out;
 }
 

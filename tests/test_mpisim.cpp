@@ -34,6 +34,28 @@ TEST(Mpisim, RunRejectsBadRankCount) {
   EXPECT_THROW(run(0, [](Comm&) {}), std::invalid_argument);
 }
 
+TEST(Mpisim, RunRejectsFiberStacksBelowTheFloor) {
+  // A fiber's first frame is written at the top of its stack, so an empty
+  // or tiny stack would be overrun on the first resume.
+  RunOptions opts;
+  opts.mode = RunMode::kMultiplexed;
+  opts.workers = 1;
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{64},
+                                  kMinStackBytes - 1}) {
+    opts.stack_bytes = bytes;
+    EXPECT_THROW(run(2, [](Comm& comm) { comm.barrier(); }, opts),
+                 std::invalid_argument)
+        << "stack_bytes=" << bytes;
+  }
+  opts.stack_bytes = kMinStackBytes;
+  int done = 0;
+  run(2, [&](Comm& comm) {
+    comm.barrier();
+    if (comm.rank() == 0) done = 1;
+  }, opts);
+  EXPECT_EQ(done, 1);
+}
+
 TEST(Mpisim, SendRecvRoundTrip) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {

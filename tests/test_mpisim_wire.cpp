@@ -42,6 +42,54 @@ Image filled(std::size_t count, int n, std::byte fill) {
   return Image(count * static_cast<std::size_t>(n) * kLimbBytes, fill);
 }
 
+/// The codec's byte layout written the plain way: one byte loop per fill,
+/// the shorter span wins and a tie goes to the 0x00 fill. encode() must
+/// produce exactly these bytes.
+Image reference_encode(const Image& raw, std::size_t count, int n,
+                       std::uint8_t status) {
+  struct Span {
+    std::size_t first = 0;
+    std::size_t len = 0;  // 0: every byte equals the fill
+  };
+  const auto span_vs = [](const std::byte* limb, std::byte fill) {
+    Span s;
+    for (std::size_t j = 0; j < kLimbBytes; ++j) {
+      if (limb[j] == fill) continue;
+      if (s.len == 0) s.first = j;
+      s.len = j - s.first + 1;
+    }
+    return s;
+  };
+  Image out{static_cast<std::byte>(status)};
+  for (std::size_t e = 0; e < count; ++e) {
+    const std::size_t map_at = out.size();
+    out.resize(map_at + (static_cast<std::size_t>(n) + 3) / 4);
+    for (int i = 0; i < n; ++i) {
+      const std::byte* limb =
+          raw.data() +
+          (e * static_cast<std::size_t>(n) + static_cast<std::size_t>(i)) *
+              kLimbBytes;
+      const Span zeros = span_vs(limb, std::byte{0x00});
+      const Span ones = span_vs(limb, std::byte{0xFF});
+      unsigned code = 2;
+      if (zeros.len == 0) {
+        code = 0;
+      } else if (ones.len == 0) {
+        code = 1;
+      } else {
+        const bool use_ones = ones.len < zeros.len;
+        const Span sp = use_ones ? ones : zeros;
+        out.push_back(static_cast<std::byte>(
+            sp.first | ((sp.len - 1) << 3) | (use_ones ? 0x40u : 0u)));
+        out.insert(out.end(), limb + sp.first, limb + sp.first + sp.len);
+      }
+      out[map_at + static_cast<std::size_t>(i) / 4] |=
+          static_cast<std::byte>(code << (2 * (i % 4)));
+    }
+  }
+  return out;
+}
+
 TEST(MpisimWire, AllZeroElementsCostOnlyStatusAndMap) {
   for (const int n : {1, 2, 6, 16}) {
     for (const std::size_t count : {std::size_t{0}, std::size_t{1},
@@ -147,7 +195,11 @@ TEST(MpisimWire, FuzzRandomSparsePatternsRoundTripExactly) {
         }
       }
     }
-    expect_roundtrip(raw, count, n, iter % 2 == 0 ? kHpStatusMask : 0);
+    const std::uint8_t status = iter % 2 == 0 ? kHpStatusMask : 0;
+    expect_roundtrip(raw, count, n, status);
+    EXPECT_EQ(encode(raw.data(), count, n, status),
+              reference_encode(raw, count, n, status))
+        << "iter " << iter;
   }
 }
 
