@@ -13,11 +13,16 @@
 // sweep then deposits the uniform and wide streams in spans of 64 to
 // 4096 summands and whole, through the dispatched block path, the chunk
 // deposit alone and simd::accumulate alone: the price of the chunk fold,
-// and the evidence for kernel::kChunkMinSpan.
+// and the evidence for kernel::kChunkMinSpan. A prefetch sweep deposits
+// the uniform and wide streams whole through the chunk deposit body at
+// prefetch distances off/256..4096: the evidence for
+// kernel::kChunkPrefetch. Run it at --n=33554432 to stream from DRAM and
+// at --n=131072 to stay in L2.
 //
 // Flags: --n (default 4M summands), --seed, --json=PATH (write the bench
 // record tools/bench_smoke.py gates; see EXPERIMENTS.md).
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -27,6 +32,7 @@
 #include "common.hpp"
 #include "core/hp_fixed.hpp"
 #include "core/hp_kernel.hpp"
+#include "core/hp_kernel_chunk.hpp"
 #include "core/hp_kernel_simd.hpp"
 #include "util/table.hpp"
 #include "workload/workload.hpp"
@@ -98,6 +104,34 @@ std::vector<util::Limb> deposit_spans(const std::vector<double>& xs,
   return a;
 }
 
+/// One point of the prefetch sweep: the chunk deposit body with prefetch
+/// distance kAhead, over its own scratch (the bench is single-threaded).
+/// The production point is kernel::chunk_accumulate itself.
+template <std::size_t kAhead>
+HpStatus chunk_variant(util::Limb* a, kernel::U128* pos, kernel::U128* neg,
+                       int n, int k, int& bound, int& pending,
+                       std::span<const double> xs) noexcept {
+  static std::vector<std::uint64_t> scratch(kernel::chunk::kCount, 0);
+  return kernel::chunk::deposit<kAhead>(scratch.data(), a, pos, neg, n, k,
+                                        bound, pending, xs);
+}
+
+struct Variant {
+  std::size_t ahead;
+  SpanDeposit deposit;
+};
+
+constexpr std::array<Variant, 6> kPrefetchVariants = {
+    Variant{0, &chunk_variant<0>},       Variant{256, &chunk_variant<256>},
+    Variant{512, &chunk_variant<512>},   Variant{1024, &chunk_variant<1024>},
+    Variant{2048, &chunk_variant<2048>}, Variant{4096, &chunk_variant<4096>}};
+
+struct TuneRow {
+  std::string stream;
+  std::size_t ahead;
+  double ns;
+};
+
 struct SweepRow {
   std::string stream;
   std::string span;  ///< summands per span, or "whole"
@@ -160,6 +194,28 @@ int main(int argc, char** argv) {
   row("mixed", mixed);
   row("wide", wide);
 
+  // ns/add of `xs` deposited in spans of `span` through `deposit`, after
+  // checking its limbs and status against `ref`.
+  const auto time_spans = [&](const char* label, const std::vector<double>& xs,
+                              const std::vector<util::Limb>& ref,
+                              std::size_t span, SpanDeposit deposit) {
+    if (deposit_spans(xs, span, deposit) != ref) {
+      std::fprintf(stderr,
+                   "ablate_block: span-%zu deposits diverge on the %s "
+                   "stream — refusing to time a wrong kernel\n",
+                   span, label);
+      all_identical = false;
+      return 0.0;
+    }
+    return 1e9 *
+           bench::time_min(3,
+                           [&] {
+                             bench::sink(static_cast<double>(
+                                 deposit_spans(xs, span, deposit)[0]));
+                           }) /
+           static_cast<double>(xs.size());
+  };
+
   // The span sweep prices the chunk fold: the same stream deposited in
   // spans of one length through the dispatched block path, the chunk
   // deposit alone and simd::accumulate alone. The fold walks the span's
@@ -168,7 +224,9 @@ int main(int argc, char** argv) {
   // winning on the wide stream.
   util::TablePrinter sweep({"stream", "span", "block ns/add", "chunk ns/add",
                             "simd ns/add"});
+  util::TablePrinter tune({"stream", "prefetch", "chunk ns/add"});
   std::vector<SweepRow> sweep_rows;
+  std::vector<TuneRow> tune_rows;
   for (const auto& [label, xs] :
        {std::pair<const char*, const std::vector<double>*>{"uniform", &mixed},
         {"wide", &wide}}) {
@@ -177,28 +235,11 @@ int main(int argc, char** argv) {
     for (const std::size_t span :
          {std::size_t{64}, std::size_t{256}, std::size_t{512},
           std::size_t{1024}, std::size_t{4096}, xs->size()}) {
-      const auto time_path = [&](SpanDeposit deposit) {
-        if (deposit_spans(*xs, span, deposit) != ref) {
-          std::fprintf(stderr,
-                       "ablate_block: span-%zu deposits diverge on the %s "
-                       "stream — refusing to time a wrong kernel\n",
-                       span, label);
-          all_identical = false;
-          return 0.0;
-        }
-        return 1e9 *
-               bench::time_min(3,
-                               [&] {
-                                 bench::sink(static_cast<double>(
-                                     deposit_spans(*xs, span, deposit)[0]));
-                               }) /
-               static_cast<double>(xs->size());
-      };
       const SweepRow r{
           label, span == xs->size() ? "whole" : std::to_string(span),
-          time_path(&kernel::block_accumulate),
-          time_path(&kernel::chunk_accumulate),
-          time_path(&kernel::simd::accumulate)};
+          time_spans(label, *xs, ref, span, &kernel::block_accumulate),
+          time_spans(label, *xs, ref, span, &kernel::chunk_accumulate),
+          time_spans(label, *xs, ref, span, &kernel::simd::accumulate)};
       sweep_rows.push_back(r);
       sweep.begin_row();
       sweep.add_cell(r.stream);
@@ -208,12 +249,34 @@ int main(int argc, char** argv) {
       sweep.add_num(r.simd_ns, 4);
     }
   }
+  // The prefetch sweep deposits each whole stream through the chunk
+  // deposit at every prefetch distance: the evidence for kChunkPrefetch.
+  for (const auto& [label, xs] :
+       {std::pair<const char*, const std::vector<double>*>{"uniform", &mixed},
+        {"wide", &wide}}) {
+    const std::vector<util::Limb> ref =
+        deposit_spans(*xs, xs->size(), &kernel::block_accumulate);
+    for (const Variant& v : kPrefetchVariants) {
+      const TuneRow r{label, v.ahead,
+                      time_spans(label, *xs, ref, xs->size(), v.deposit)};
+      tune_rows.push_back(r);
+      tune.begin_row();
+      tune.add_cell(r.stream);
+      tune.add_cell(r.ahead == 0 ? std::string("off")
+                                 : std::to_string(r.ahead));
+      tune.add_num(r.ns, 4);
+    }
+  }
   if (!all_identical) return 1;
   bench::emit_table(table, args);
   std::printf("\nspan sweep (HP(6,3), one block state, spans deposited in "
               "stream order; kChunkMinSpan = %zu):\n",
               kernel::kChunkMinSpan);
   bench::emit_table(sweep, args);
+  std::printf("\nprefetch sweep (HP(6,3), whole stream, chunk deposit; "
+              "kChunkPrefetch = %zu doubles):\n",
+              kernel::kChunkPrefetch);
+  bench::emit_table(tune, args);
   std::printf(
       "\nreading: the block path wins twice over the scalar loop. It "
       "removes the sign-dependent carry/borrow branch per summand, which "
@@ -227,8 +290,11 @@ int main(int argc, char** argv) {
       "range (a few dozen chunks on uniform data, ~440 on the wide set): "
       "on short wide spans it costs more than the chunks save, so spans "
       "and span tails shorter than kChunkMinSpan = %zu take "
-      "simd::accumulate (level \"%s\" here). Identity of limbs and "
-      "status is checked above before timing.\n",
+      "simd::accumulate (level \"%s\" here). The prefetch sweep sets "
+      "the chunk deposit's prefetch distance: on a stream larger than the "
+      "caches (--n=33554432) the prefetch rows run well below the 'off' "
+      "rows, at about what an L2-sized stream (--n=131072) costs. "
+      "Identity of limbs and status is checked above before timing.\n",
       kernel::kChunkBlock, kernel::kChunkMinSpan,
       kernel::simd::level_name(kernel::simd::active_level()));
 
@@ -255,6 +321,11 @@ int main(int argc, char** argv) {
                bench::Better::kLower);
     record.add(prefix + ".simd_ns_per_add", r.simd_ns, "ns",
                bench::Better::kLower);
+  }
+  for (const TuneRow& r : tune_rows) {
+    record.add("tune." + r.stream + ".prefetch" + std::to_string(r.ahead) +
+                   ".ns_per_add",
+               r.ns, "ns", bench::Better::kLower);
   }
   if (!record.write(args)) return 1;
   return bench::finish(args);

@@ -19,11 +19,11 @@
 //                (block_add / block_flush / block_bound_exp, and the span
 //                entry block_accumulate). At runtime block_accumulate runs
 //                the exponent-indexed chunk deposit (chunk_accumulate in
-//                hp_kernel.cpp: Neal's large superaccumulator, one 64-bit
-//                chunk per sign+exponent, folded into the planes once per
-//                block of up to kChunkBlock summands) and sends spans
-//                shorter than kChunkMinSpan to simd::accumulate
-//                (hp_kernel_simd.hpp).
+//                hp_kernel.cpp over hp_kernel_chunk.hpp: Neal's large
+//                superaccumulator, one 64-bit chunk per sign+exponent,
+//                folded into the planes once per block of up to
+//                kChunkBlock summands) and sends spans shorter than
+//                kChunkMinSpan to simd::accumulate (hp_kernel_simd.hpp).
 //   BlockAccumulator<N,K> — the block fast path as a value type: deposits
 //                a stream of doubles into per-limb carry-save partials
 //                (unsigned __int128 planes, one positive one negative) and
@@ -526,6 +526,14 @@ static_assert(static_cast<U128>(kChunkBlock) *
                   (static_cast<U128>(1) << 64),
               "a chunk of kChunkBlock mantissas must fit 64 bits");
 
+/// How far ahead of its loop the chunk deposit prefetches, in doubles
+/// (8 KiB, 128 lines). A span no longer than this issues no prefetch.
+/// EXPERIMENTS.md A2c's constants sweep: on spans streamed from DRAM,
+/// every distance from 256 to 4096 took the loop from 1.4-1.8 to
+/// 1.0-1.3 ns/add, what it costs on an L2-resident span; 1024 sits in
+/// the middle of that plateau.
+inline constexpr std::size_t kChunkPrefetch = 1024;
+
 /// Spans and span tails shorter than this skip the chunk deposit and take
 /// simd::accumulate: below it the fold over the touched exponent range
 /// costs more than the chunk deposit saves (EXPERIMENTS.md A2c, span
@@ -535,12 +543,13 @@ inline constexpr std::size_t kChunkMinSpan = 512;
 /// The exponent-indexed deposit (hp_kernel.cpp), after Neal's large
 /// superaccumulator (arXiv 1505.05571): each block of up to kChunkBlock
 /// summands adds every mantissa, unshifted, into a 64-bit chunk indexed by
-/// sign and biased exponent, then either commits — one fold of the
-/// touched exponent range into the planes — or rolls back and replays
-/// element-wise through block_add. A block commits iff every summand is in
-/// window(n, k) and block_budget_ok accepts the state the element-wise
-/// loop would reach after the whole block; the budget is monotone, so that
-/// is exactly block_add's decision for every element. Flushed limbs,
+/// sign and biased exponent (prefetching kChunkPrefetch doubles ahead
+/// within the span), then either commits — one fold of the touched
+/// exponent range into the planes — or rolls back and replays
+/// element-wise through block_add. A block commits iff every summand is
+/// in window(n, k) and block_budget_ok accepts the state the element-wise
+/// loop would reach after the whole block; the budget is monotone, so
+/// that is exactly block_add's decision for every element. Flushed limbs,
 /// sticky status, bound_exp and pending therefore match block_add driven
 /// per element; plane slot contents may not (see block_flush). Takes any
 /// span length; block_accumulate decides which spans come here.

@@ -3,11 +3,11 @@
 // These are the inner loops every backend (OpenMP, mpisim, cudasim, phisim)
 // and every bench builds on. Both reduce_hp overloads route through the
 // carry-deferred block fast path (core/hp_kernel.hpp BlockAccumulator):
-// kernel::block_accumulate sums each block of up to 2048 summands into one
-// 64-bit chunk per sign+exponent and folds those into per-limb carry-save
-// planes once per block; carries normalize once per span — bit-identical,
-// limbs and sticky status, to the element-at-a-time operator+=(double)
-// loop.
+// kernel::block_accumulate sums each block of up to 2048 summands into
+// one 64-bit chunk per sign+exponent, prefetching the span 8 KiB ahead,
+// and folds the chunks into per-limb carry-save planes once per block;
+// carries normalize once per span — bit-identical, limbs and sticky
+// status, to the element-at-a-time operator+=(double) loop.
 // bench/ablate_block.cpp --json quantifies the speedup; HpFixed's
 // add_double_reference keeps the original convert+add pair callable.
 #pragma once

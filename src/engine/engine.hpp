@@ -56,6 +56,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -68,6 +70,7 @@
 #include <vector>
 
 #include "core/hp_dyn.hpp"
+#include "core/hp_kernel.hpp"
 #include "core/hp_serialize.hpp"
 #include "trace/trace.hpp"
 
@@ -117,7 +120,21 @@ struct DynSum {
   explicit DynSum(HpConfig cfg) : hp(cfg) {}
   void accumulate(double x) noexcept { hp += x; }
   void accumulate(std::span<const double> xs) noexcept { hp.accumulate(xs); }
-  void merge(const DynSum& o) { hp += o.hp; }
+  /// Same-format merge. Every ShardSet slot, the retired total and every
+  /// snapshot/drain total start as copies of one prototype, so the two
+  /// formats always match; unlike HpDyn's checked +=, this cannot throw,
+  /// which ShardSet::retire (noexcept, run from a Handle destructor)
+  /// relies on. A direct caller that mixes formats would read past the
+  /// shorter limb array or add misaligned limbs, so a mismatch stops the
+  /// program in every build.
+  void merge(const DynSum& o) noexcept {
+    if (o.hp.config() != hp.config()) [[unlikely]] {
+      std::fputs("engine::DynSum::merge: formats differ\n", stderr);
+      std::abort();
+    }
+    hp.or_status(o.hp.status());
+    hp.or_status(hp_add(hp.limbs(), o.hp.limbs()));
+  }
   [[nodiscard]] double result() const noexcept { return hp.to_double(); }
   [[nodiscard]] static std::string name() { return "HP(dyn)"; }
 };
@@ -262,6 +279,10 @@ inline constexpr std::size_t kShardAlign = 64;
 template <class Acc>
 class ShardSet {
   using Codec = ShardCodec<Acc>;
+  static_assert(
+      noexcept(std::declval<Acc&>().merge(std::declval<const Acc&>())),
+      "retire() merges from a Handle destructor: Acc::merge must be "
+      "noexcept");
 
   struct alignas(kShardAlign) Slot {
     explicit Slot(const Acc& proto, std::size_t nwords)

@@ -22,6 +22,7 @@
 #include "core/hp_dyn.hpp"
 #include "core/hp_fixed.hpp"
 #include "core/hp_kernel.hpp"
+#include "core/hp_kernel_chunk.hpp"
 #include "core/hp_kernel_simd.hpp"
 #include "core/reduce.hpp"
 #include "trace/trace.hpp"
@@ -686,6 +687,92 @@ TEST(ChunkDeposit, BlockAndMinSpanBoundaryLengths) {
     // The chunk deposit alone, at every length (no span policy).
     expect_span_matches_block_add(cfg, start, xs, 0, {},
                                   &kernel::chunk_accumulate);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ChunkDeposit, WorstCaseBlockFillsAChunkToTheBound) {
+  // A block of kChunkBlock summands with the largest significand,
+  // 2^53 - 1, and one sign and exponent: their chunk reaches
+  // kChunkBlock * (2^53 - 1) = 2^64 - 2048, the largest word a fold ever
+  // sees. The shifts put the chunk's lsb at offsets 0, 1, 12 and 63 of
+  // its limb window in HP(6,3) (lsb position shift + 140), so the shifted
+  // sum also straddles a seam.
+  const HpConfig cfg{6, 3};
+  const std::vector<Limb> zero(6, 0);
+  const double max_significand = 2.0 - 0x1p-52;
+  for (const int shift : {-12, -11, 0, 51}) {
+    for (const double sign : {1.0, -1.0}) {
+      const std::vector<double> xs(kernel::kChunkBlock,
+                                   sign * std::ldexp(max_significand, shift));
+      const std::uint64_t chunked = expect_span_matches_block_add(
+          cfg, zero, xs, 0, {}, &kernel::chunk_accumulate);
+      if constexpr (trace::enabled()) {
+        EXPECT_EQ(chunked, xs.size()) << "shift=" << shift;
+      }
+      // Two full blocks through the dispatched path: the second fold
+      // lands on planes the first already filled.
+      std::vector<double> two = xs;
+      two.insert(two.end(), xs.begin(), xs.end());
+      expect_span_matches_block_add(cfg, zero, two);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(ChunkDeposit, LengthsAroundThePrefetchEdge) {
+  // Odd lengths, including spans that stop prefetching mid-block and
+  // mid-line (kChunkPrefetch + 3, 2 * kChunkBlock + kChunkPrefetch + 5)
+  // and spans no longer than the prefetch distance, which issue none.
+  util::Xoshiro256ss rng(0x0DD5);
+  const HpConfig cfg{6, 3};
+  std::vector<Limb> start(6, 0);
+  for (auto& l : start) l = rng.next();
+  start[0] >>= 40;  // far enough below the top for every block to commit
+  for (const std::size_t len :
+       {std::size_t{1}, std::size_t{3}, kernel::kChunkMinSpan - 1,
+        kernel::kChunkMinSpan + 1, kernel::kChunkPrefetch - 1,
+        kernel::kChunkPrefetch + 3, std::size_t{2047}, std::size_t{2049},
+        std::size_t{4097},
+        2 * kernel::kChunkBlock + kernel::kChunkPrefetch + 5}) {
+    const auto xs = clean_stream(rng, cfg, len);
+    const std::uint64_t chunked = expect_span_matches_block_add(
+        cfg, start, xs, 0, {}, &kernel::chunk_accumulate);
+    const std::uint64_t dispatched =
+        expect_span_matches_block_add(cfg, start, xs);
+    if constexpr (trace::enabled()) {
+      EXPECT_EQ(chunked, len) << "len=" << len;
+      EXPECT_EQ(dispatched, chunked_share(len)) << "len=" << len;
+    }
+    if (HasFailure()) return;
+  }
+}
+
+/// kernel::chunk::deposit at another point of ablate_block's prefetch
+/// sweep, over its own scratch.
+template <std::size_t kAhead>
+HpStatus chunk_variant(Limb* a, kernel::U128* pos, kernel::U128* neg, int n,
+                       int k, int& bound, int& pending,
+                       std::span<const double> xs) {
+  static std::vector<std::uint64_t> scratch(kernel::chunk::kCount, 0);
+  return kernel::chunk::deposit<kAhead>(scratch.data(), a, pos, neg, n, k,
+                                        bound, pending, xs);
+}
+
+TEST(ChunkDeposit, SweepVariantsMatchBlockAdd) {
+  // The deposit bodies ablate_block times against the shipped distance:
+  // no prefetch, a shorter and a longer one. Each must be the same
+  // deposit, or the sweep would time a wrong kernel.
+  util::Xoshiro256ss rng(0x5EE9);
+  const HpConfig cfg{6, 3};
+  const std::vector<Limb> zero(6, 0);
+  auto xs = clean_stream(rng, cfg, 3 * kernel::kChunkBlock + 7);
+  xs[kernel::kChunkBlock + 3] = std::numeric_limits<double>::quiet_NaN();
+  for (const SpanFn deposit :
+       {&chunk_variant<0>, &chunk_variant<256>, &chunk_variant<4096>}) {
+    expect_span_matches_block_add(cfg, zero, xs, 0, {}, deposit);
+    expect_span_matches_block_add(cfg, zero, xs, 0, {5, 2048, 1000},
+                                  deposit);
     if (HasFailure()) return;
   }
 }

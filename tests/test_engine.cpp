@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstddef>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backends/accumulators.hpp"
@@ -28,6 +29,12 @@ namespace {
 using namespace hpsum;
 using engine::DynSum;
 using engine::ShardSet;
+
+// ShardSet::retire() is noexcept and merges a retiring shard from a Handle
+// destructor, so DynSum::merge must not throw (ShardSet static_asserts
+// the same of every Acc).
+static_assert(
+    noexcept(std::declval<DynSum&>().merge(std::declval<const DynSum&>())));
 
 std::vector<double> mixed_stream(std::size_t n, std::uint64_t seed) {
   util::Xoshiro256ss rng(seed);
@@ -171,6 +178,34 @@ TEST(Engine, RetiredShardsStayInTheTotal) {
   const DynSum snap = sink.snapshot();
   EXPECT_EQ(snap.hp, reference);
   EXPECT_EQ(snap.hp.status(), reference.status());
+}
+
+TEST(Engine, DynSumMergeMatchesTheCheckedAdd) {
+  // The non-throwing merge is HpDyn's += minus the format check: limbs
+  // and sticky status, including a flag raised on either side.
+  const HpConfig cfg{2, 1};
+  DynSum a(cfg);
+  DynSum b(cfg);
+  a.accumulate(1e30);  // out of range: kConvertOverflow
+  b.accumulate(std::ldexp(1.0, 62));
+  b.accumulate(std::ldexp(1.0, 62));  // carries into the sign: kAddOverflow
+  HpDyn expect = a.hp;
+  expect += b.hp;
+  a.merge(b);
+  EXPECT_EQ(a.hp, expect);
+  EXPECT_EQ(a.hp.status(), expect.status());
+  EXPECT_TRUE(has(a.hp.status(), HpStatus::kConvertOverflow));
+  EXPECT_TRUE(has(a.hp.status(), HpStatus::kAddOverflow));
+}
+
+TEST(Engine, DynSumMergeOfMixedFormatsAbortsInEveryBuild) {
+  // A mismatch is not an assert, which release builds drop: it would read
+  // past the shorter limb array (n differs) or add misaligned limbs (only
+  // k differs).
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DynSum a(HpConfig{6, 3});
+  EXPECT_DEATH(a.merge(DynSum(HpConfig{2, 1})), "formats differ");
+  EXPECT_DEATH(a.merge(DynSum(HpConfig{6, 2})), "formats differ");
 }
 
 TEST(Engine, CheckpointRestoresAcrossDifferentShardCounts) {
