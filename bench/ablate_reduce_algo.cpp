@@ -1,10 +1,12 @@
 // Ablation A7: reduction algorithm (linear vs binomial tree).
 //
 // The paper's MPI experiment uses MPI_Reduce and inherits whatever
-// algorithm the library picks. mpisim implements both classic shapes; this
-// bench isolates the COMBINE phase (p partial HP/double sums already
-// computed) and measures its cost and — the reason HP exists — whether the
-// result depends on the shape (double: yes; HP: never).
+// algorithm the library picks. mpisim implements four topologies; this
+// bench compares the two rooted-reduce shapes (linear and binomial tree;
+// fig6_mpi_scaling --algo sweeps all four), isolates the COMBINE phase
+// (p partial HP/double sums already computed) and measures its cost and —
+// the reason HP exists — whether the result depends on the shape (double:
+// yes; HP: never).
 //
 // Flags: --maxp (default 128), --payload (hp|double, both always run),
 //        --trials (default 5).

@@ -84,6 +84,7 @@ int main(int argc, char** argv) {
                             "t_Hallberg span s", "speedup span"});
   Times cp_per_block;
   Times cb_per_block;
+  std::int64_t first_scalar_win = -1;  // smallest n with speedup >= 1
   std::vector<std::int64_t> ns;
   for (std::int64_t n = 128; n <= nmax; n *= 4) ns.push_back(n);
   if (ns.empty() || ns.back() != nmax) ns.push_back(nmax);
@@ -104,6 +105,9 @@ int main(int argc, char** argv) {
     } else {
       t_hb = time_hallberg<14, 37>(xs, trials);
       params = "(14,37)";
+    }
+    if (first_scalar_win < 0 && t_hb.scalar / t_hp.scalar >= 1.0) {
+      first_scalar_win = n;
     }
     table.begin_row();
     table.add_int(n);
@@ -138,8 +142,15 @@ int main(int argc, char** argv) {
            cb_per_block.scalar);
   analysis("span (accumulate(xs))", cp_per_block.span, cb_per_block.span);
   std::printf(
-      "\nexpected shape (scalar, the paper's comparison): speedup < 1 for "
-      "small n (Hallberg wins), crossing ~1 near 1M and rising as M drops "
+      "\npaper's claim (scalar comparison): speedup < 1 for small n "
+      "(Hallberg wins), crossing ~1 near 1M and rising as M drops "
       "(eq. 6: S grows as M shrinks).\n");
+  if (first_scalar_win >= 0) {
+    std::printf("this run: scalar speedup first >= 1 at n = %lld\n",
+                static_cast<long long>(first_scalar_win));
+  } else {
+    std::printf("this run: scalar speedup never >= 1 (n = 128..%lld)\n",
+                static_cast<long long>(ns.back()));
+  }
   return bench::finish(args);
 }

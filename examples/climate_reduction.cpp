@@ -106,9 +106,9 @@ int main() {
   }
   std::printf("mpisim 16 ranks, tree reduce:   %.17e\n", tree_result);
   std::printf("mpisim 16 ranks, linear reduce: %.17e\n", linear_result);
+  const bool distributed_ok =
+      tree_result == linear_result && tree_result == first_hp;
   std::printf("distributed == local == decomposition-invariant: %s\n",
-              (tree_result == linear_result && tree_result == first_hp)
-                  ? "yes"
-                  : "NO (bug!)");
-  return 0;
+              distributed_ok ? "yes" : "NO (bug!)");
+  return hp_consistent && distributed_ok ? 0 : 1;
 }

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <exception>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -26,15 +30,6 @@ constexpr int kAutoThreadLimit = 128;
 /// raw memcpy contract (nonnull attributes) forbids even for n == 0.
 void copy_bytes(void* dst, const void* src, std::size_t n) {
   if (n > 0) std::memcpy(dst, src, n);
-}
-
-void check_user_tag(int tag) {
-  if (tag < 0 || tag >= kUserTagLimit) {
-    throw std::invalid_argument(
-        "mpisim: user tag " + std::to_string(tag) + " outside [0, " +
-        std::to_string(kUserTagLimit) +
-        ") — tags at and above the limit are reserved for collectives");
-  }
 }
 
 /// Per-rank execution context for the multiplexed engine: which fiber runs
@@ -186,17 +181,6 @@ class Runtime {
     }
   }
 
-  /// Non-blocking take: returns the matching message if one is queued.
-  /// Deliberately not poison-checked (it cannot deadlock); callers that
-  /// poll in a loop must abort_check() themselves (Request::test does).
-  std::optional<Message> try_take(int dest, int source, int tag) {
-    check_rank(dest);
-    check_rank(source);
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
-    const std::lock_guard<std::mutex> lock(box.mu);
-    return match(box, source, tag);
-  }
-
   /// Generation-counter barrier (std::barrier cannot be interrupted, and
   /// the abort protocol needs to wake waiters on poison).
   void barrier_wait() {
@@ -333,7 +317,7 @@ class Runtime {
 
 int Comm::size() const noexcept { return rt_->size(); }
 
-void Comm::send_raw(int dest, int tag, const void* buf, std::size_t bytes) {
+void Comm::send(int dest, int tag, const void* buf, std::size_t bytes) {
   rt_->abort_check();
   rt_->note_message(bytes);
   flight::instant(
@@ -349,7 +333,7 @@ void Comm::send_raw(int dest, int tag, const void* buf, std::size_t bytes) {
   rt_->post(dest, std::move(msg));
 }
 
-void Comm::recv_raw(int source, int tag, void* buf, std::size_t bytes) {
+void Comm::recv(int source, int tag, void* buf, std::size_t bytes) {
   Runtime::Message msg = rt_->take(rank_, source, tag);
   flight::instant(
       flight::EventId::kMpiRecv,
@@ -374,159 +358,12 @@ std::vector<std::byte> Comm::recv_any(int source, int tag) {
   return std::move(msg.data);
 }
 
-void Comm::send(int dest, int tag, const void* buf, std::size_t bytes) {
-  check_user_tag(tag);
-  send_raw(dest, tag, buf, bytes);
-}
-
-void Comm::recv(int source, int tag, void* buf, std::size_t bytes) {
-  check_user_tag(tag);
-  recv_raw(source, tag, buf, bytes);
-}
-
 void Comm::barrier() { rt_->barrier_wait(); }
 
-Request Comm::irecv(int source, int tag, void* buf, std::size_t bytes) {
-  check_user_tag(tag);
-  Request req;
-  req.comm_ = this;
-  req.source_ = source;
-  req.tag_ = tag;
-  req.buf_ = buf;
-  req.bytes_ = bytes;
-  req.done_ = false;
-  return req;
-}
-
-Request::~Request() {
-  assert(done_ &&
-         "destroying an incomplete mpisim::Request (wait(), test() or "
-         "cancel() it first)");
-}
-
-Request::Request(Request&& other) noexcept
-    : comm_(other.comm_),
-      source_(other.source_),
-      tag_(other.tag_),
-      buf_(other.buf_),
-      bytes_(other.bytes_),
-      done_(other.done_) {
-  other.comm_ = nullptr;
-  other.done_ = true;
-}
-
-Request& Request::operator=(Request&& other) noexcept {
-  if (this != &other) {
-    assert(done_ && "overwriting an incomplete mpisim::Request");
-    comm_ = other.comm_;
-    source_ = other.source_;
-    tag_ = other.tag_;
-    buf_ = other.buf_;
-    bytes_ = other.bytes_;
-    done_ = other.done_;
-    other.comm_ = nullptr;
-    other.done_ = true;
-  }
-  return *this;
-}
-
-void Request::wait() {
-  if (done_) return;
-  comm_->recv_raw(source_, tag_, buf_, bytes_);
-  done_ = true;
-}
-
-bool Request::test() {
-  if (done_) return true;
-  comm_->rt_->abort_check();  // a poll loop must not spin on a dead peer
-  auto msg = comm_->rt_->try_take(comm_->rank_, source_, tag_);
-  if (!msg) {
-    // On a fiber, give the worker's other ranks a turn: the sender may
-    // share this worker, and a poll loop that never yields starves it.
-    if (tl_ctx != nullptr) fiber_yield();
-    return false;
-  }
-  if (msg->data.size() != bytes_) {
-    throw std::logic_error("mpisim: irecv size mismatch");
-  }
-  copy_bytes(buf_, msg->data.data(), bytes_);
-  done_ = true;
-  return true;
-}
-
-void Request::cancel() {
-  if (done_) return;
-  // Discard the message if it already arrived so it cannot cross-match a
-  // later receive; a message sent after this point stays in the mailbox.
-  (void)comm_->rt_->try_take(comm_->rank_, source_, tag_);
-  done_ = true;
-}
-
-void Comm::bcast(void* buf, std::size_t bytes, int root) {
-  const int tag = next_collective_tag();
-  if (rank_ == root) {
-    for (int r = 0; r < size(); ++r) {
-      if (r != root) send_raw(r, tag, buf, bytes);
-    }
-  } else {
-    recv_raw(root, tag, buf, bytes);
-  }
-}
-
-void Comm::gather(const void* send_buf, std::size_t bytes_each, void* recv_buf,
-                  int root) {
-  const int tag = next_collective_tag();
-  if (rank_ == root) {
-    auto* out = static_cast<std::byte*>(recv_buf);
-    for (int r = 0; r < size(); ++r) {
-      std::byte* slot = out + static_cast<std::size_t>(r) * bytes_each;
-      if (r == root) {
-        copy_bytes(slot, send_buf, bytes_each);
-      } else {
-        recv_raw(r, tag, slot, bytes_each);
-      }
-    }
-  } else {
-    send_raw(root, tag, send_buf, bytes_each);
-  }
-}
-
-void Comm::scatter(const void* send_buf, std::size_t bytes_each,
-                   void* recv_buf, int root) {
-  const int tag = next_collective_tag();
-  if (rank_ == root) {
-    const auto* in = static_cast<const std::byte*>(send_buf);
-    for (int r = 0; r < size(); ++r) {
-      const std::byte* slot = in + static_cast<std::size_t>(r) * bytes_each;
-      if (r == root) {
-        copy_bytes(recv_buf, slot, bytes_each);
-      } else {
-        send_raw(r, tag, slot, bytes_each);
-      }
-    }
-  } else {
-    recv_raw(root, tag, recv_buf, bytes_each);
-  }
-}
-
-void Comm::allgather(const void* send_buf, std::size_t bytes_each,
-                     void* recv_buf) {
-  gather(send_buf, bytes_each, recv_buf, /*root=*/0);
-  bcast(recv_buf, bytes_each * static_cast<std::size_t>(size()), /*root=*/0);
-}
-
-void Comm::sendrecv(int dest, const void* send_buf, std::size_t send_bytes,
-                    int source, void* recv_buf, std::size_t recv_bytes,
-                    int tag) {
-  send(dest, tag, send_buf, send_bytes);
-  recv(source, tag, recv_buf, recv_bytes);
-}
-
 // ---------------------------------------------------------------------------
-// Collectives: one implementation shared by Comm (identity rank map) and
-// Comm::Group (member map). Four topologies over the same codec-aware
-// transport; docs/MPISIM.md derives the schedules and the FIFO-tag
-// argument that lets a whole collective reuse a single tag.
+// Collectives: four topologies over the same codec-aware transport;
+// docs/MPISIM.md derives the schedules and the FIFO-tag argument that lets
+// a whole collective reuse a single tag.
 
 struct detail::Coll {
   /// Largest power of two q = 2^m that fits in p, and the r = p - q excess
@@ -549,9 +386,8 @@ struct detail::Coll {
 
   struct Ctx {
     Comm& c;
-    const std::vector<int>* map;  ///< group members, or null for identity
-    int me;                       ///< my index in the collective
-    int p;                        ///< collective size
+    int me;  ///< my rank
+    int p;   ///< number of ranks
     int tag;
     const Datatype& dt;
     const Op& op;
@@ -560,11 +396,7 @@ struct detail::Coll {
     std::vector<std::byte> scratch;  ///< recv_combine staging, lazily sized
   };
 
-  static int real_rank(const Ctx& x, int idx) {
-    return x.map ? (*x.map)[static_cast<std::size_t>(idx)] : idx;
-  }
-
-  /// Collective index of virtual rank v in the power-of-two phase.
+  /// Rank of virtual rank v in the power-of-two phase.
   static int vreal(const Pow2& s, int v) { return v < s.r ? 2 * v : v + s.r; }
 
   static void note_wire(Ctx& x, std::size_t raw_bytes,
@@ -582,13 +414,13 @@ struct detail::Coll {
     const std::byte* p = base + lo * x.dt.size;
     if (!x.sparse) {
       note_wire(x, raw_bytes, raw_bytes);
-      x.c.send_raw(real_rank(x, to), x.tag, p, raw_bytes);
+      x.c.send(to, x.tag, p, raw_bytes);
       return;
     }
     const std::vector<std::byte> msg =
         x.op.codec->encode(p, hi - lo, x.op.observed_status());
     note_wire(x, raw_bytes, msg.size());
-    x.c.send_raw(real_rank(x, to), x.tag, msg.data(), msg.size());
+    x.c.send(to, x.tag, msg.data(), msg.size());
   }
 
   /// Receives elements [lo, hi) into `base` (no combine). Sparse mode ORs
@@ -596,11 +428,10 @@ struct detail::Coll {
   static void recv_range(Ctx& x, int from, std::byte* base, std::size_t lo,
                          std::size_t hi) {
     if (!x.sparse) {
-      x.c.recv_raw(real_rank(x, from), x.tag, base + lo * x.dt.size,
-                   (hi - lo) * x.dt.size);
+      x.c.recv(from, x.tag, base + lo * x.dt.size, (hi - lo) * x.dt.size);
       return;
     }
-    const std::vector<std::byte> msg = x.c.recv_any(real_rank(x, from), x.tag);
+    const std::vector<std::byte> msg = x.c.recv_any(from, x.tag);
     const std::uint8_t st = x.op.codec->decode(
         msg.data(), msg.size(), base + lo * x.dt.size, hi - lo);
     if (st != 0) {
@@ -706,11 +537,11 @@ struct detail::Coll {
     }
   }
 
-  /// Allgather by recursive doubling of the owned range (the reverse
+  /// All-gather by recursive doubling of the owned range (the reverse
   /// partner order of reduce_scatter; FIFO per (source, tag) keeps the
   /// back-to-back same-partner messages correctly paired).
-  static void allgather_ranges(Ctx& x, std::byte* acc, const Pow2& s,
-                               int vr) {
+  static void gather_ranges_to_all(Ctx& x, std::byte* acc, const Pow2& s,
+                                   int vr) {
     for (int i = s.m - 1; i >= 0; --i) {
       const int pvr = vr ^ (s.q >> (i + 1));
       const int partner = vreal(s, pvr);
@@ -735,7 +566,7 @@ struct detail::Coll {
       for (int g = 0; g < x.p; ++g) {
         if (g == root) continue;
         note_wire(x, raw_bytes, raw_bytes);
-        x.c.send_raw(real_rank(x, g), x.tag, buf, raw_bytes);
+        x.c.send(g, x.tag, buf, raw_bytes);
       }
       return;
     }
@@ -744,7 +575,7 @@ struct detail::Coll {
     for (int g = 0; g < x.p; ++g) {
       if (g == root) continue;
       note_wire(x, raw_bytes, msg.size());
-      x.c.send_raw(real_rank(x, g), x.tag, msg.data(), msg.size());
+      x.c.send(g, x.tag, msg.data(), msg.size());
     }
   }
 
@@ -823,10 +654,17 @@ struct detail::Coll {
     }
   }
 
-  static void reduce(Comm& c, const std::vector<int>* map, int me, int p,
-                     const void* send_buf, void* recv_buf, std::size_t count,
-                     const Datatype& dt, const Op& op, int root,
-                     ReduceAlgo algo) {
+  static void reduce(Comm& c, const void* send_buf, void* recv_buf,
+                     std::size_t count, const Datatype& dt, const Op& op,
+                     int root, ReduceAlgo algo) {
+    // Every rank sees the same bad root and throws here, before any
+    // message moves: an out-of-range root would otherwise drop the result
+    // or fail deep in the transport, depending on the topology.
+    if (root < 0 || root >= c.size()) {
+      throw std::out_of_range("mpisim: reduce root " + std::to_string(root) +
+                              " outside [0, " + std::to_string(c.size()) +
+                              ")");
+    }
     begin(op);
     ReduceAlgo effective = algo;
     if (count == 0 && (algo == ReduceAlgo::kRecursiveDoubling ||
@@ -835,7 +673,7 @@ struct detail::Coll {
       // moves every rank's (status-carrying) empty message to the root.
       effective = ReduceAlgo::kLinear;
     }
-    Ctx x{c,  map, me, p, c.next_collective_tag(), dt, op, count,
+    Ctx x{c, c.rank(), c.size(), c.next_collective_tag(), dt, op, count,
           op.codec != nullptr, {}};
     const flight::Span reduce_span(flight::EventId::kMpiReduce,
                                    flight::current_reduction_id(),
@@ -844,8 +682,7 @@ struct detail::Coll {
                 static_cast<std::byte*>(recv_buf), root, effective);
   }
 
-  static void allreduce(Comm& c, const std::vector<int>* map, int me, int p,
-                        const void* send_buf, void* recv_buf,
+  static void allreduce(Comm& c, const void* send_buf, void* recv_buf,
                         std::size_t count, const Datatype& dt, const Op& op,
                         ReduceAlgo algo) {
     begin(op);
@@ -854,7 +691,7 @@ struct detail::Coll {
                        algo == ReduceAlgo::kRecursiveHalving)) {
       effective = ReduceAlgo::kBinomialTree;
     }
-    Ctx x{c,  map, me, p, c.next_collective_tag(), dt, op, count,
+    Ctx x{c, c.rank(), c.size(), c.next_collective_tag(), dt, op, count,
           op.codec != nullptr, {}};
     const flight::Span reduce_span(flight::EventId::kMpiReduce,
                                    flight::current_reduction_id(),
@@ -882,7 +719,7 @@ struct detail::Coll {
         const int vr = fold_in(x, acc.data(), s);
         if (vr >= 0) {
           reduce_scatter(x, acc.data(), s, vr);
-          allgather_ranges(x, acc.data(), s, vr);
+          gather_ranges_to_all(x, acc.data(), s, vr);
         }
         fold_out(x, acc.data(), s);
         copy_bytes(recv, acc.data(), bytes);
@@ -895,76 +732,12 @@ struct detail::Coll {
 void Comm::reduce(const void* send_buf, void* recv_buf, std::size_t count,
                   const Datatype& dt, const Op& op, int root,
                   ReduceAlgo algo) {
-  detail::Coll::reduce(*this, nullptr, rank_, size(), send_buf, recv_buf,
-                       count, dt, op, root, algo);
+  detail::Coll::reduce(*this, send_buf, recv_buf, count, dt, op, root, algo);
 }
 
 void Comm::allreduce(const void* send_buf, void* recv_buf, std::size_t count,
                      const Datatype& dt, const Op& op, ReduceAlgo algo) {
-  detail::Coll::allreduce(*this, nullptr, rank_, size(), send_buf, recv_buf,
-                          count, dt, op, algo);
-}
-
-Comm::Group Comm::split(int color, int key) {
-  // Collective: allgather every rank's (color, key).
-  struct ColorKey {
-    int color;
-    int key;
-  };
-  const ColorKey mine{color, key};
-  std::vector<ColorKey> all(static_cast<std::size_t>(size()));
-  allgather(&mine, sizeof mine, all.data());
-
-  // Group members: ranks with my color, ordered by (key, parent rank).
-  std::vector<int> members;
-  for (int r = 0; r < size(); ++r) {
-    if (all[static_cast<std::size_t>(r)].color == color) members.push_back(r);
-  }
-  std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
-    return all[static_cast<std::size_t>(a)].key <
-           all[static_cast<std::size_t>(b)].key;
-  });
-  int my_index = 0;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (members[i] == rank_) my_index = static_cast<int>(i);
-  }
-  return Group(*this, std::move(members), my_index);
-}
-
-void Comm::Group::barrier() {
-  const int tag = parent_->next_collective_tag();
-  const char token = 0;
-  if (my_index_ == 0) {
-    char sink = 0;
-    for (int g = 1; g < size(); ++g) {
-      parent_->recv_raw(parent_rank(g), tag, &sink, sizeof sink);
-    }
-    for (int g = 1; g < size(); ++g) {
-      parent_->send_raw(parent_rank(g), tag, &token, sizeof token);
-    }
-  } else {
-    parent_->send_raw(parent_rank(0), tag, &token, sizeof token);
-    char sink = 0;
-    parent_->recv_raw(parent_rank(0), tag, &sink, sizeof sink);
-  }
-}
-
-void Comm::Group::bcast(void* buf, std::size_t bytes, int group_root) {
-  const int tag = parent_->next_collective_tag();
-  if (my_index_ == group_root) {
-    for (int g = 0; g < size(); ++g) {
-      if (g != group_root) parent_->send_raw(parent_rank(g), tag, buf, bytes);
-    }
-  } else {
-    parent_->recv_raw(parent_rank(group_root), tag, buf, bytes);
-  }
-}
-
-void Comm::Group::reduce(const void* send_buf, void* recv_buf,
-                         std::size_t count, const Datatype& dt, const Op& op,
-                         int group_root, ReduceAlgo algo) {
-  detail::Coll::reduce(*parent_, &members_, my_index_, size(), send_buf,
-                       recv_buf, count, dt, op, group_root, algo);
+  detail::Coll::allreduce(*this, send_buf, recv_buf, count, dt, op, algo);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 //
 // No MPI implementation is installed on this host, so the paper's MPI
 // experiment (Fig 6: MPI_Reduce over a custom HP datatype with a custom
-// MPI_Op) runs on this runtime instead (DESIGN.md §2, docs/MPISIM.md). It
-// preserves the properties the experiment exercises:
-//   - ranks have separate address spaces for message data: every send deep-
-//     copies into the receiver's mailbox, so HP values really are
-//     serialized, moved, and deserialized;
+// MPI_Op) runs on this runtime instead (DESIGN.md §2, docs/MPISIM.md). Its
+// surface is what the experiment calls: run, barrier, reduce and
+// allreduce. It preserves the properties the experiment exercises:
+//   - ranks have separate address spaces for message data: every message a
+//     collective sends deep-copies into the receiver's mailbox, so HP
+//     values really are serialized, moved, and deserialized;
 //   - reductions take a user-registered Datatype + Op, exactly the
 //     MPI_Type_contiguous / MPI_Op_create shape the paper describes;
 //   - four reduction algorithms (linear, binomial tree, recursive
@@ -21,42 +22,36 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace hpsum::mpisim {
 
-/// Collective operations stamp their messages with tags at or above this
-/// base; user point-to-point tags must stay in [0, kUserTagLimit). Enforced
-/// by send/recv/irecv/sendrecv (std::invalid_argument) so a point-to-point
-/// message can never cross-match a collective and corrupt a reduction.
-inline constexpr int kUserTagLimit = 1 << 20;
-
 namespace detail {
+/// Width of the collective tag window [0, kCollectiveTagWindow).
+inline constexpr int kCollectiveTagWindow = 1 << 20;
+
 /// Maps a monotonically increasing per-rank collective sequence number into
-/// the collective tag window [kUserTagLimit, 2*kUserTagLimit). The window
-/// wraps, so multi-billion-collective scaling runs cannot overflow the
-/// (signed int) tag — 2^20 collectives would have to be simultaneously
-/// outstanding for two live collectives to alias, and the SPMD contract
-/// keeps ranks within one collective of each other.
+/// the collective tag window. The window wraps, so multi-billion-collective
+/// scaling runs cannot overflow the (signed int) tag — 2^20 collectives
+/// would have to be simultaneously outstanding for two live collectives to
+/// alias, and the SPMD contract keeps ranks within one collective of each
+/// other.
 [[nodiscard]] constexpr int collective_tag(std::uint64_t seq) noexcept {
-  return kUserTagLimit +
-         static_cast<int>(seq % static_cast<std::uint64_t>(kUserTagLimit));
+  return static_cast<int>(
+      seq % static_cast<std::uint64_t>(kCollectiveTagWindow));
 }
 struct Coll;
 }  // namespace detail
 
 /// Thrown by communication calls on ranks whose peers have failed: when any
 /// rank body throws, the runtime is poisoned and every rank blocked in (or
-/// later entering) recv/send/barrier/collectives aborts with this error
+/// later entering) barrier/reduce/allreduce aborts with this error
 /// instead of deadlocking. run() rethrows the original (first) error, not
 /// the RankAborted cascade.
 class RankAborted : public std::runtime_error {
@@ -112,8 +107,8 @@ struct Op {
   /// Without a codec, gather conditions from *all* ranks by reducing the
   /// mask too (see reduce_hp_value).
   ///
-  /// Scope is ONE reduction: Comm::reduce / Comm::Group::reduce clear the
-  /// mask on entry, so observed_status() after a reduction reports that
+  /// Scope is ONE reduction: Comm::reduce / Comm::allreduce clear the mask
+  /// on entry, so observed_status() after a reduction reports that
   /// reduction's conditions only. (An Op reused across reductions used to
   /// bleed an overflow seen in one allreduce into the status of later,
   /// unrelated reductions.)
@@ -154,57 +149,13 @@ enum class ReduceAlgo {
   /// As a rooted reduce this runs the butterfly and discards off-root
   /// copies (a topology testbed, not a message-optimal rooted reduce).
   kRecursiveDoubling,
-  /// Reduce-scatter by recursive halving of the element range, then
-  /// allgather (for allreduce) or a gather of the owned ranges to the root
+  /// Reduce-scatter by recursive halving of the element range, then an
+  /// all-gather (for allreduce) or a gather of the owned ranges to the root
   /// (for reduce). Bandwidth-optimal for long vectors.
   kRecursiveHalving
 };
 
 class Runtime;
-class Comm;
-
-/// Handle for a non-blocking receive (MPI_Request analogue). Obtained from
-/// Comm::irecv; completed by wait() or polled by test(), or abandoned with
-/// cancel(). Move-only: the handle owns the obligation to complete the
-/// receive. Destroying an incomplete Request is an error surfaced by
-/// assertion in debug builds (the posted receive — and the message once it
-/// arrives — would otherwise leak in the mailbox).
-class Request {
- public:
-  Request() = default;
-  ~Request();
-  Request(Request&& other) noexcept;
-  Request& operator=(Request&& other) noexcept;
-  Request(const Request&) = delete;
-  Request& operator=(const Request&) = delete;
-
-  /// Blocks until the message arrives and is copied into the buffer.
-  void wait();
-
-  /// Non-blocking completion check; copies and returns true if available.
-  [[nodiscard]] bool test();
-
-  /// Abandons the receive: discards the matching message if it has already
-  /// been delivered (so it cannot cross-match a later receive) and marks
-  /// the request complete without filling the buffer. A message sent
-  /// *after* cancel() is not intercepted — as with MPI_Cancel, cancelling
-  /// a receive whose sender still sends leaves that message to a later
-  /// matching receive.
-  void cancel();
-
-  /// True once the message has been delivered into the buffer (or the
-  /// request was cancelled).
-  [[nodiscard]] bool done() const noexcept { return done_; }
-
- private:
-  friend class Comm;
-  Comm* comm_ = nullptr;
-  int source_ = -1;
-  int tag_ = -1;
-  void* buf_ = nullptr;
-  std::size_t bytes_ = 0;
-  bool done_ = true;
-};
 
 /// How run() executes rank bodies.
 enum class RunMode {
@@ -215,9 +166,9 @@ enum class RunMode {
   /// near OS thread limits.
   kThreads,
   /// Cooperative fibers multiplexed over a bounded worker pool: a rank
-  /// blocked in recv/barrier yields its worker. Scales to thousands of
-  /// simulated ranks; requires rank bodies to block only through mpisim
-  /// primitives (the usual SPMD shape).
+  /// blocked in a collective or barrier yields its worker. Scales to
+  /// thousands of simulated ranks; requires rank bodies to block only
+  /// through mpisim primitives (the usual SPMD shape).
   kMultiplexed
 };
 
@@ -225,7 +176,7 @@ enum class RunMode {
 /// they are exact even when the trace subsystem is compiled out
 /// (HPSUM_TRACE=OFF) — the fig6 wire-compression numbers come from here.
 struct RunStats {
-  std::uint64_t messages = 0;    ///< point-to-point + collective messages
+  std::uint64_t messages = 0;    ///< messages the collectives posted
   std::uint64_t bytes_sent = 0;  ///< total payload bytes posted
   /// Collective payload bytes before encoding (what the raw wire would
   /// have carried). Equals wire_encoded_bytes for codec-less ops.
@@ -261,56 +212,13 @@ class Comm {
   /// Number of ranks.
   [[nodiscard]] int size() const noexcept;
 
-  /// Blocking tagged point-to-point send (deep copy; never deadlocks on
-  /// itself since delivery is asynchronous). `tag` must be in
-  /// [0, kUserTagLimit) — throws std::invalid_argument otherwise.
-  void send(int dest, int tag, const void* buf, std::size_t bytes);
-
-  /// Blocking tagged receive from a specific source. `bytes` must match the
-  /// sent size (checked; throws std::logic_error on mismatch — the
-  /// classic truncated-message failure surfaced loudly). Tag rules as in
-  /// send().
-  void recv(int source, int tag, void* buf, std::size_t bytes);
-
   /// Synchronizes all ranks.
   void barrier();
 
-  /// Broadcasts root's buffer to all ranks.
-  void bcast(void* buf, std::size_t bytes, int root);
-
-  /// Gathers `bytes_each` from every rank into root's `recv` buffer
-  /// (rank-major). `recv` may be null on non-root ranks.
-  void gather(const void* send, std::size_t bytes_each, void* recv, int root);
-
-  /// Scatters rank-major slices of root's `send` buffer: each rank receives
-  /// its `bytes_each` slice into `recv`. `send` may be null on non-root
-  /// ranks. This is how the Fig 6 benchmark distributes the summand array.
-  void scatter(const void* send, std::size_t bytes_each, void* recv, int root);
-
-  /// Gather followed by broadcast: every rank ends with all ranks'
-  /// contributions (rank-major) in `recv`.
-  void allgather(const void* send, std::size_t bytes_each, void* recv);
-
-  /// Combined send+recv (never deadlocks: delivery is asynchronous).
-  void sendrecv(int dest, const void* send_buf, std::size_t send_bytes,
-                int source, void* recv_buf, std::size_t recv_bytes, int tag);
-
-  /// Non-blocking send (MPI_Isend analogue). Because sends deep-copy into
-  /// the destination mailbox immediately, the buffer is reusable on
-  /// return; no request object is needed (equivalent to MPI_Ibsend with
-  /// infinite buffering).
-  void isend(int dest, int tag, const void* buf, std::size_t bytes) {
-    send(dest, tag, buf, bytes);
-  }
-
-  /// Non-blocking receive (MPI_Irecv analogue): returns immediately; the
-  /// buffer is filled when the returned Request is wait()ed or test()s
-  /// true. Lets a rank post a receive, keep computing, then synchronize.
-  [[nodiscard]] Request irecv(int source, int tag, void* buf,
-                              std::size_t bytes);
-
   /// Element-wise reduction of `count` elements of `dt` to `root`
-  /// (MPI_Reduce analogue). `recv` may be null on non-root ranks.
+  /// (MPI_Reduce analogue). `recv` may be null on non-root ranks. Throws
+  /// std::out_of_range on every rank, before any message moves, unless
+  /// root is in [0, size()).
   void reduce(const void* send, void* recv, std::size_t count,
               const Datatype& dt, const Op& op, int root,
               ReduceAlgo algo = ReduceAlgo::kBinomialTree);
@@ -318,32 +226,24 @@ class Comm {
   /// Reduction delivered to every rank (MPI_Allreduce analogue).
   /// kLinear/kBinomialTree run reduce + bcast; kRecursiveDoubling runs the
   /// butterfly natively; kRecursiveHalving runs reduce-scatter +
-  /// allgather. For non-exact ops (doubles) the two native algorithms may
+  /// all-gather. For non-exact ops (doubles) the two native algorithms may
   /// deliver differently-rounded values on different ranks — exact HP
   /// payloads are bit-identical everywhere, which is the point.
   void allreduce(const void* send, void* recv, std::size_t count,
                  const Datatype& dt, const Op& op,
                  ReduceAlgo algo = ReduceAlgo::kBinomialTree);
 
-  /// Splits the communicator by color (MPI_Comm_split analogue): ranks
-  /// sharing a color form a group, ordered by (key, parent rank). The
-  /// returned group handle supports the collective subset hierarchical
-  /// reductions need (rank/size/barrier/bcast/reduce). Must be called by
-  /// every rank (it is itself a collective).
-  class Group;
-  [[nodiscard]] Group split(int color, int key = 0);
-
  private:
   friend void run(int nranks, const std::function<void(Comm&)>& body,
                   const RunOptions& opts);
-  friend class Request;
   friend struct detail::Coll;
   Comm(Runtime& rt, int rank) : rt_(&rt), rank_(rank) {}
 
-  /// Internal transport used by collectives: no user-tag validation (tags
-  /// here are collective tags), same counters/flight events as send/recv.
-  void send_raw(int dest, int tag, const void* buf, std::size_t bytes);
-  void recv_raw(int source, int tag, void* buf, std::size_t bytes);
+  /// The transport under every collective: tagged deep-copy send, and a
+  /// blocking receive that checks the message is exactly `bytes` long
+  /// (std::logic_error otherwise).
+  void send(int dest, int tag, const void* buf, std::size_t bytes);
+  void recv(int source, int tag, void* buf, std::size_t bytes);
   /// Variable-size receive for codec-encoded payloads.
   [[nodiscard]] std::vector<std::byte> recv_any(int source, int tag);
 
@@ -357,47 +257,6 @@ class Comm {
   /// back-to-back collectives cannot cross-match (wraps via
   /// detail::collective_tag).
   std::uint64_t coll_seq_ = 0;
-};
-
-/// A color group produced by Comm::split: the subset collectives used for
-/// hierarchical (e.g. intra-node then inter-node) reductions. All tag
-/// management rides on the parent communicator, so every group member must
-/// issue the same sequence of group collectives (the usual SPMD contract).
-class Comm::Group {
- public:
-  /// This rank's index within the group, in (key, parent-rank) order.
-  [[nodiscard]] int rank() const noexcept { return my_index_; }
-
-  /// Number of ranks in the group.
-  [[nodiscard]] int size() const noexcept {
-    return static_cast<int>(members_.size());
-  }
-
-  /// Parent rank of group member `group_rank`.
-  [[nodiscard]] int parent_rank(int group_rank) const {
-    return members_.at(static_cast<std::size_t>(group_rank));
-  }
-
-  /// Synchronizes the group (linear gather + release through group root).
-  void barrier();
-
-  /// Broadcasts group-root's buffer to the group.
-  void bcast(void* buf, std::size_t bytes, int group_root);
-
-  /// Element-wise reduction to the group root (same semantics as
-  /// Comm::reduce, restricted to the group; all four algorithms apply).
-  void reduce(const void* send, void* recv, std::size_t count,
-              const Datatype& dt, const Op& op, int group_root,
-              ReduceAlgo algo = ReduceAlgo::kBinomialTree);
-
- private:
-  friend class Comm;
-  Group(Comm& parent, std::vector<int> members, int my_index)
-      : parent_(&parent), members_(std::move(members)), my_index_(my_index) {}
-
-  Comm* parent_;
-  std::vector<int> members_;  ///< parent ranks, group order
-  int my_index_;
 };
 
 /// Launches `nranks` rank bodies (threads or multiplexed fibers, per

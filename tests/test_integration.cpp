@@ -1,6 +1,6 @@
 // End-to-end integration: one scenario exercising the whole library the
-// way a real code would — plan a format from data, reduce hierarchically
-// across the message-passing runtime, ship the result through canonical
+// way a real code would — plan a format from data, reduce across the
+// message-passing runtime, ship the result through canonical
 // serialization and an exact-decimal checkpoint, verify against every
 // other backend, and audit the data's order sensitivity.
 #include <gtest/gtest.h>
@@ -38,7 +38,7 @@ TEST(Integration, FullPipelineProducesOneAnswerEverywhere) {
   ASSERT_EQ(ref.status(), HpStatus::kOk);
   const std::string ref_decimal = ref.to_decimal_string();
 
-  // 4. Distributed: 12 ranks, 3 "nodes", hierarchical reduce, result
+  // 4. Distributed: 12 ranks reduce to the root, and the result is
   //    shipped through canonical serialization.
   std::vector<std::byte> wire;
   mpisim::run(12, [&](mpisim::Comm& comm) {
@@ -47,23 +47,8 @@ TEST(Integration, FullPipelineProducesOneAnswerEverywhere) {
     for (const double x : slices[static_cast<std::size_t>(comm.rank())]) {
       local += x;
     }
-    auto node = comm.split(comm.rank() / 4);
-    std::vector<std::byte> send(local.byte_size());
-    local.to_bytes(send.data());
-    std::vector<std::byte> node_total(local.byte_size());
-    node.reduce(send.data(), node_total.data(), 1, mpisim::hp_datatype(cfg),
-                mpisim::hp_sum_op(cfg), 0);
-    auto leaders = comm.split(node.rank() == 0 ? 0 : 1);
-    if (node.rank() == 0) {
-      std::vector<std::byte> global(local.byte_size());
-      leaders.reduce(node_total.data(), global.data(), 1,
-                     mpisim::hp_datatype(cfg), mpisim::hp_sum_op(cfg), 0);
-      if (comm.rank() == 0) {
-        HpDyn total(cfg);
-        total.from_bytes(global.data());
-        wire = serialize(total);  // canonical, endian-safe
-      }
-    }
+    const HpDyn total = mpisim::reduce_hp_value(comm, local, /*root=*/0);
+    if (comm.rank() == 0) wire = serialize(total);  // canonical, endian-safe
   });
   const HpDyn distributed = deserialize(wire);
   EXPECT_EQ(distributed, ref);

@@ -8,7 +8,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "core/hp_status.hpp"
@@ -56,59 +56,84 @@ TEST(Mpisim, RunRejectsFiberStacksBelowTheFloor) {
   EXPECT_EQ(done, 1);
 }
 
-TEST(Mpisim, SendRecvRoundTrip) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      const double payload = 42.5;
-      comm.send(1, 7, &payload, sizeof payload);
-    } else {
-      double got = 0;
-      comm.recv(0, 7, &got, sizeof got);
-      EXPECT_EQ(got, 42.5);
+TEST(Mpisim, CountMismatchThrowsOnEveryAlgorithmAndWire) {
+  // Ranks that disagree on a collective's element count must fail loudly:
+  // the raw wire checks every message's size, the sparse wire's decoder
+  // checks the element count it was handed.
+  const HpConfig cfg{6, 3};
+  const Datatype dt = hp_datatype(cfg);
+  for (const bool all : {false, true}) {
+    for (const ReduceAlgo algo :
+         {ReduceAlgo::kLinear, ReduceAlgo::kBinomialTree,
+          ReduceAlgo::kRecursiveDoubling, ReduceAlgo::kRecursiveHalving}) {
+      for (const Wire wire : {Wire::kRaw, Wire::kSparse}) {
+        const auto ctx = [&] {
+          return std::string(all ? "allreduce" : "reduce") +
+                 " algo=" + std::to_string(static_cast<int>(algo)) +
+                 " wire=" + std::to_string(static_cast<int>(wire));
+        };
+        try {
+          run(4, [&](Comm& comm) {
+            const std::size_t count = comm.rank() == 2 ? 3 : 2;
+            std::vector<std::byte> send(count * dt.size);
+            std::vector<std::byte> recv(count * dt.size);
+            const Op op = hp_sum_op(cfg, wire);
+            if (all) {
+              comm.allreduce(send.data(), recv.data(), count, dt, op, algo);
+            } else {
+              comm.reduce(send.data(), recv.data(), count, dt, op, 0, algo);
+            }
+          });
+          ADD_FAILURE() << "no throw: " << ctx();
+        } catch (const std::invalid_argument&) {
+          EXPECT_EQ(wire, Wire::kSparse) << ctx();
+        } catch (const std::logic_error& e) {
+          EXPECT_EQ(wire, Wire::kRaw) << ctx();
+          EXPECT_NE(std::string(e.what()).find("recv size mismatch"),
+                    std::string::npos)
+              << ctx();
+        }
+      }
     }
-  });
+  }
 }
 
-TEST(Mpisim, TagsKeepMessagesApart) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      const int a = 1;
-      const int b = 2;
-      comm.send(1, 10, &a, sizeof a);
-      comm.send(1, 20, &b, sizeof b);
-    } else {
-      int got = 0;
-      comm.recv(0, 20, &got, sizeof got);  // out of send order
-      EXPECT_EQ(got, 2);
-      comm.recv(0, 10, &got, sizeof got);
-      EXPECT_EQ(got, 1);
+TEST(Mpisim, ReduceRejectsOutOfRangeRoot) {
+  // Regression: an out-of-range root made kBinomialTree and
+  // kRecursiveDoubling return without ever writing a result, while
+  // kLinear and kRecursiveHalving failed deep in the transport. Now every
+  // rank rejects it before a single message moves.
+  const int ranks = 4;
+  for (const ReduceAlgo algo :
+       {ReduceAlgo::kLinear, ReduceAlgo::kBinomialTree,
+        ReduceAlgo::kRecursiveDoubling, ReduceAlgo::kRecursiveHalving}) {
+    for (const int root : {-1, ranks, ranks + 3}) {
+      const std::string ctx = "algo=" +
+                              std::to_string(static_cast<int>(algo)) +
+                              " root=" + std::to_string(root);
+      RunStats stats;
+      RunOptions opts;
+      opts.stats = &stats;
+      std::atomic<int> rejected{0};
+      EXPECT_THROW(run(ranks,
+                       [&](Comm& comm) {
+                         const double mine = 1.0;
+                         double out = 0;
+                         try {
+                           comm.reduce(&mine, &out, 1, Datatype::f64(),
+                                       f64_sum_op(), root, algo);
+                         } catch (const std::out_of_range&) {
+                           rejected.fetch_add(1);
+                           throw;
+                         }
+                       },
+                       opts),
+                   std::out_of_range)
+          << ctx;
+      EXPECT_EQ(rejected.load(), ranks) << ctx;
+      EXPECT_EQ(stats.messages, 0u) << ctx;
     }
-  });
-}
-
-TEST(Mpisim, RecvSizeMismatchThrows) {
-  EXPECT_THROW(run(2,
-                   [](Comm& comm) {
-                     if (comm.rank() == 0) {
-                       const double payload = 1.0;
-                       comm.send(1, 1, &payload, sizeof payload);
-                     } else {
-                       float small = 0;
-                       comm.recv(0, 1, &small, sizeof small);
-                     }
-                   }),
-               std::logic_error);
-}
-
-TEST(Mpisim, SendToInvalidRankThrows) {
-  EXPECT_THROW(run(2,
-                   [](Comm& comm) {
-                     if (comm.rank() == 0) {
-                       const int x = 1;
-                       comm.send(5, 1, &x, sizeof x);
-                     }
-                   }),
-               std::out_of_range);
+  }
 }
 
 TEST(Mpisim, BarrierOrdersPhases) {
@@ -121,122 +146,6 @@ TEST(Mpisim, BarrierOrdersPhases) {
     if (phase1.load() != 8) ok = false;
   });
   EXPECT_TRUE(ok.load());
-}
-
-TEST(Mpisim, BcastDeliversRootValue) {
-  run(6, [](Comm& comm) {
-    double v = (comm.rank() == 2) ? 3.25 : 0.0;
-    comm.bcast(&v, sizeof v, /*root=*/2);
-    EXPECT_EQ(v, 3.25);
-  });
-}
-
-TEST(Mpisim, GatherCollectsRankMajor) {
-  run(5, [](Comm& comm) {
-    const int mine = comm.rank() * 11;
-    std::vector<int> all(5, -1);
-    comm.gather(&mine, sizeof mine, all.data(), /*root=*/0);
-    if (comm.rank() == 0) {
-      for (int r = 0; r < 5; ++r) EXPECT_EQ(all[static_cast<std::size_t>(r)], r * 11);
-    }
-  });
-}
-
-TEST(Mpisim, ScatterDistributesRankMajorSlices) {
-  run(4, [](Comm& comm) {
-    std::vector<double> all;
-    if (comm.rank() == 1) {
-      for (int i = 0; i < 8; ++i) all.push_back(i * 1.5);
-    }
-    double mine[2] = {0, 0};
-    comm.scatter(all.data(), sizeof mine, mine, /*root=*/1);
-    EXPECT_EQ(mine[0], comm.rank() * 2 * 1.5);
-    EXPECT_EQ(mine[1], (comm.rank() * 2 + 1) * 1.5);
-  });
-}
-
-TEST(Mpisim, AllgatherGivesEveryoneEverything) {
-  run(5, [](Comm& comm) {
-    const int mine = comm.rank() + 100;
-    std::vector<int> all(5, -1);
-    comm.allgather(&mine, sizeof mine, all.data());
-    for (int r = 0; r < 5; ++r) {
-      EXPECT_EQ(all[static_cast<std::size_t>(r)], r + 100);
-    }
-  });
-}
-
-TEST(Mpisim, SendrecvRingRotation) {
-  // Classic ring shift: rank r sends to r+1, receives from r-1.
-  run(6, [](Comm& comm) {
-    const int p = comm.size();
-    const int next = (comm.rank() + 1) % p;
-    const int prev = (comm.rank() + p - 1) % p;
-    const int mine = comm.rank() * 7;
-    int got = -1;
-    comm.sendrecv(next, &mine, sizeof mine, prev, &got, sizeof got, 3);
-    EXPECT_EQ(got, prev * 7);
-  });
-}
-
-TEST(Mpisim, IrecvOverlapsComputeThenWaits) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      double got = 0;
-      Request req = comm.irecv(1, 5, &got, sizeof got);
-      // "Compute" while the message is (maybe) in flight...
-      double local = 0;
-      for (int i = 1; i <= 1000; ++i) local += 1.0 / i;
-      req.wait();
-      EXPECT_TRUE(req.done());
-      EXPECT_EQ(got, 2.5);
-      EXPECT_GT(local, 0.0);
-    } else {
-      const double payload = 2.5;
-      comm.isend(0, 5, &payload, sizeof payload);
-    }
-  });
-}
-
-TEST(Mpisim, RequestTestPollsWithoutBlocking) {
-  // With one worker the multiplexed engine runs both ranks on one thread,
-  // so the sender only runs if test() yields. The poll count is capped so
-  // a test() that never yields fails instead of hanging.
-  static constexpr long kMaxPolls = 20'000'000;
-  for (const RunMode mode : {RunMode::kThreads, RunMode::kMultiplexed}) {
-    RunOptions opts;
-    opts.mode = mode;
-    opts.workers = 1;
-    run(
-        2,
-        [mode](Comm& comm) {
-          if (comm.rank() == 0) {
-            int got = 0;
-            Request req = comm.irecv(1, 6, &got, sizeof got);
-            // The sender waits for our go-ahead, so the first test must
-            // fail.
-            EXPECT_FALSE(req.test());
-            const int go = 1;
-            comm.send(1, 7, &go, sizeof go);
-            long polls = 0;
-            while (!req.test() && ++polls < kMaxPolls) {
-            }
-            const bool completed = req.done();
-            if (!completed) req.cancel();
-            ASSERT_TRUE(completed)
-                << "no message after " << kMaxPolls
-                << " polls, mode=" << static_cast<int>(mode);
-            EXPECT_EQ(got, 99);
-            EXPECT_TRUE(req.test());  // idempotent once done
-          } else {
-            int go = 0;
-            comm.recv(0, 7, &go, sizeof go);
-            const int payload = 99;
-            comm.isend(0, 6, &payload, sizeof payload);
-          }
-        },
-        opts);
-  }
 }
 
 TEST(Mpisim, ReduceDoubleLinearMatchesSequentialOrder) {
@@ -279,76 +188,6 @@ TEST(Mpisim, AllreduceAgreesOnAllRanks) {
     results[static_cast<std::size_t>(comm.rank())] = out;
   });
   for (const double r : results) EXPECT_EQ(r, 13.5);
-}
-
-TEST(Mpisim, SplitFormsOrderedGroups) {
-  run(8, [](Comm& comm) {
-    // Even/odd split with key = descending parent rank.
-    auto group = comm.split(comm.rank() % 2, -comm.rank());
-    EXPECT_EQ(group.size(), 4);
-    // Members are ordered by key: highest parent rank first.
-    const int expect_first = comm.rank() % 2 == 0 ? 6 : 7;
-    EXPECT_EQ(group.parent_rank(0), expect_first);
-    // My index is consistent with my key order.
-    EXPECT_EQ(group.parent_rank(group.rank()), comm.rank());
-  });
-}
-
-TEST(Mpisim, GroupBarrierAndBcast) {
-  run(6, [](Comm& comm) {
-    auto group = comm.split(comm.rank() / 3);  // {0,1,2} and {3,4,5}
-    ASSERT_EQ(group.size(), 3);
-    int v = (group.rank() == 0) ? comm.rank() + 1000 : -1;
-    group.bcast(&v, sizeof v, 0);
-    // Group root is the lowest parent rank in each group.
-    EXPECT_EQ(v, (comm.rank() / 3) * 3 + 1000);
-    group.barrier();  // and the barrier completes
-  });
-}
-
-TEST(Mpisim, HierarchicalHpReductionMatchesFlat) {
-  // Two-level reduce — intra-"node" groups, then node leaders — must give
-  // the bit-identical HP sum of a flat reduce (and of the sequential sum).
-  const auto xs = workload::uniform_set(24000, 65);
-  const HpConfig cfg{6, 3};
-  const HpDyn ref = reduce_hp(xs, cfg);
-
-  for (const int ranks_per_node : {2, 4}) {
-    std::vector<util::Limb> root_limbs;
-    run(8, [&](Comm& comm) {
-      const auto slices = backends::partition(xs, comm.size());
-      HpDyn local(cfg);
-      for (const double x : slices[static_cast<std::size_t>(comm.rank())]) {
-        local += x;
-      }
-
-      // Level 1: reduce within the node group.
-      auto node = comm.split(comm.rank() / ranks_per_node);
-      std::vector<std::byte> send(local.byte_size());
-      local.to_bytes(send.data());
-      std::vector<std::byte> node_total(local.byte_size());
-      node.reduce(send.data(), node_total.data(), 1, hp_datatype(cfg),
-                  hp_sum_op(cfg), 0);
-
-      // Level 2: node leaders reduce across nodes.
-      const bool leader = node.rank() == 0;
-      auto leaders = comm.split(leader ? 0 : 1);
-      if (leader) {
-        std::vector<std::byte> global(local.byte_size());
-        leaders.reduce(node_total.data(), global.data(), 1, hp_datatype(cfg),
-                       hp_sum_op(cfg), 0, ReduceAlgo::kLinear);
-        if (comm.rank() == 0) {
-          HpDyn total(cfg);
-          total.from_bytes(global.data());
-          root_limbs.assign(total.limbs().begin(), total.limbs().end());
-        }
-      }
-    });
-    ASSERT_EQ(root_limbs.size(), ref.limbs().size());
-    for (std::size_t i = 0; i < root_limbs.size(); ++i) {
-      EXPECT_EQ(root_limbs[i], ref.limbs()[i]) << "rpn=" << ranks_per_node;
-    }
-  }
 }
 
 TEST(Mpisim, HpReduceIsInvariantAcrossAlgorithmsAndRankCounts) {
@@ -410,66 +249,46 @@ TEST(Mpisim, DoubleReduceVariesAcrossTopologies) {
 }
 
 TEST(MpisimDetail, CollectiveTagsStayInWindowAndWrap) {
-  EXPECT_EQ(detail::collective_tag(0), kUserTagLimit);
-  EXPECT_EQ(detail::collective_tag(1), kUserTagLimit + 1);
-  const auto limit = static_cast<std::uint64_t>(kUserTagLimit);
-  EXPECT_EQ(detail::collective_tag(limit - 1), 2 * kUserTagLimit - 1);
+  constexpr int kWindow = detail::kCollectiveTagWindow;
+  EXPECT_EQ(detail::collective_tag(0), 0);
+  EXPECT_EQ(detail::collective_tag(1), 1);
+  const auto limit = static_cast<std::uint64_t>(kWindow);
+  EXPECT_EQ(detail::collective_tag(limit - 1), kWindow - 1);
   // Regression: the tag used to be kCollectiveTagBase + seq with no bound,
   // so a long-running simulation could walk the tag past INT_MAX into
   // signed overflow. Now it wraps within the collective window.
-  EXPECT_EQ(detail::collective_tag(limit), kUserTagLimit);
+  EXPECT_EQ(detail::collective_tag(limit), 0);
   for (const std::uint64_t seq :
        {limit * 3 + 17, std::numeric_limits<std::uint64_t>::max()}) {
     const int tag = detail::collective_tag(seq);
-    EXPECT_GE(tag, kUserTagLimit);
-    EXPECT_LT(tag, 2 * kUserTagLimit);
+    EXPECT_GE(tag, 0);
+    EXPECT_LT(tag, kWindow);
   }
 }
 
-TEST(Mpisim, UserTagsAtOrAboveCollectiveBaseAreRejected) {
-  // Regression: send/recv/irecv accepted tags >= kUserTagLimit, letting a
-  // point-to-point message cross-match a collective's traffic and corrupt
-  // the reduction. Now they are rejected up front.
-  const auto expect_rejected = [](const std::function<void(Comm&)>& body) {
-    EXPECT_THROW(run(1, body), std::invalid_argument);
-  };
-  const int x = 1;
-  expect_rejected([&](Comm& comm) { comm.send(0, kUserTagLimit, &x, sizeof x); });
-  expect_rejected([&](Comm& comm) { comm.send(0, -1, &x, sizeof x); });
-  expect_rejected([](Comm& comm) {
-    int got = 0;
-    comm.recv(0, kUserTagLimit + 5, &got, sizeof got);
-  });
-  expect_rejected([](Comm& comm) {
-    int got = 0;
-    Request req = comm.irecv(0, -7, &got, sizeof got);
-    req.cancel();
-  });
-  // The boundary tags themselves are fine.
-  run(1, [&](Comm& comm) {
-    comm.send(0, 0, &x, sizeof x);
-    comm.send(0, kUserTagLimit - 1, &x, sizeof x);
-    int got = 0;
-    comm.recv(0, 0, &got, sizeof got);
-    comm.recv(0, kUserTagLimit - 1, &got, sizeof got);
-  });
-}
-
 TEST(Mpisim, RankExceptionAbortsBlockedPeersInsteadOfDeadlocking) {
-  // Regression: a rank body throwing while peers were blocked in recv used
-  // to deadlock run() — the join loop waited forever on the blocked ranks,
-  // and the error was never rethrown. Now the first failure poisons the
-  // runtime, blocked ranks abort with RankAborted, and run() rethrows the
-  // original error. Before the fix this test hung.
-  try {
-    run(4, [](Comm& comm) {
-      if (comm.rank() == 3) throw std::runtime_error("rank 3 exploded");
-      int never = 0;
-      comm.recv(3, 1, &never, sizeof never);  // blocks forever without abort
-    });
-    FAIL() << "run() should have rethrown the rank error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "rank 3 exploded");
+  // Regression: a rank body throwing while peers were blocked waiting for
+  // its message used to deadlock run() — the join loop waited forever on
+  // the blocked ranks, and the error was never rethrown. Now the first
+  // failure poisons the runtime, blocked ranks abort with RankAborted, and
+  // run() rethrows the original error. Before the fix this test hung.
+  for (const ReduceAlgo algo :
+       {ReduceAlgo::kLinear, ReduceAlgo::kBinomialTree,
+        ReduceAlgo::kRecursiveDoubling, ReduceAlgo::kRecursiveHalving}) {
+    try {
+      run(4, [algo](Comm& comm) {
+        if (comm.rank() == 3) throw std::runtime_error("rank 3 exploded");
+        const double mine = 1.0;
+        double out = 0;
+        // Rank 0 (at least) waits on rank 3's contribution forever
+        // without the abort.
+        comm.reduce(&mine, &out, 1, Datatype::f64(), f64_sum_op(), 0, algo);
+      });
+      ADD_FAILURE() << "run() should have rethrown the rank error, algo="
+                    << static_cast<int>(algo);
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "rank 3 exploded");
+    }
   }
 }
 
@@ -499,8 +318,18 @@ TEST(Mpisim, RankExceptionAbortsMultiplexedRanks) {
     run(64,
         [](Comm& comm) {
           if (comm.rank() == 17) throw std::runtime_error("fiber down");
-          int never = 0;
-          comm.recv(17, 1, &never, sizeof never);
+          // Even ranks park in the barrier. Odd ranks are binomial-tree
+          // leaves: each sends its value up, then parks in a receive for
+          // rank 0's broadcast, which never comes. The abort must wake
+          // both kinds of blocked fiber.
+          if (comm.rank() % 2 == 0) {
+            comm.barrier();
+          } else {
+            const double mine = 1.0;
+            double out = 0;
+            comm.allreduce(&mine, &out, 1, Datatype::f64(), f64_sum_op(),
+                           ReduceAlgo::kBinomialTree);
+          }
         },
         opts);
     FAIL() << "run() should have rethrown the rank error";
@@ -532,82 +361,42 @@ TEST(Mpisim, LateEntrantsToPoisonedRuntimeAbortToo) {
   EXPECT_EQ(aborted.load(), 2);
 }
 
-TEST(Mpisim, DestroyingIncompleteRequestAssertsInDebugBuilds) {
-  // Regression: the Request doc contract promised a debug assert on
-  // destroying an incomplete request, but Request had no destructor at
-  // all — the posted receive just leaked silently.
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEBUG_DEATH(
-      run(1,
-          [](Comm& comm) {
-            int got = 0;
-            Request req = comm.irecv(0, 3, &got, sizeof got);
-            // req destroyed incomplete: no wait/test/cancel.
-          }),
-      "incomplete mpisim::Request");
-}
-
-TEST(Mpisim, CancelledRequestDiscardsDeliveredMessage) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      int got = -1;
-      Request req = comm.irecv(1, 6, &got, sizeof got);
-      comm.barrier();  // sender's 99 is now in our mailbox
-      req.cancel();
-      EXPECT_TRUE(req.done());
-      comm.barrier();
-      // The cancelled message must not satisfy this receive; only the
-      // post-cancel 55 may.
-      comm.recv(1, 6, &got, sizeof got);
-      EXPECT_EQ(got, 55);
-    } else {
-      const int first = 99;
-      comm.send(0, 6, &first, sizeof first);
-      comm.barrier();
-      comm.barrier();
-      const int second = 55;
-      comm.send(0, 6, &second, sizeof second);
-    }
-  });
-}
-
-TEST(Mpisim, MovedFromRequestIsSafeToDestroy) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      int got = 0;
-      Request a = comm.irecv(1, 4, &got, sizeof got);
-      Request b = std::move(a);  // `a` must now destroy cleanly
-      EXPECT_TRUE(a.done());     // NOLINT(bugprone-use-after-move)
-      b.wait();
-      EXPECT_EQ(got, 7);
-    } else {
-      const int v = 7;
-      comm.send(0, 4, &v, sizeof v);
-    }
-  });
-}
-
-TEST(Mpisim, MultiplexedModeMatchesThreadedPointToPoint) {
-  for (const int workers : {1, 3}) {
-    RunOptions opts;
-    opts.mode = RunMode::kMultiplexed;
-    opts.workers = workers;
-    std::vector<int> got(12, -1);
-    run(12,
+TEST(Mpisim, MultiplexedModeMatchesThreadedAllreduce) {
+  // A ring shift built from an allreduce: each rank contributes only its
+  // own slot of a 12-element vector, then reads its left neighbour's.
+  const int p = 12;
+  const auto ring = [&](const RunOptions& opts, ReduceAlgo algo) {
+    std::vector<double> got(p, -1.0);
+    run(p,
         [&](Comm& comm) {
-          const int p = comm.size();
-          const int next = (comm.rank() + 1) % p;
-          const int prev = (comm.rank() + p - 1) % p;
-          const int mine = comm.rank() * 3;
-          int in = -1;
-          comm.sendrecv(next, &mine, sizeof mine, prev, &in, sizeof in, 2);
+          std::vector<double> mine(p, 0.0);
+          std::vector<double> all(p, 0.0);
+          const auto r = static_cast<std::size_t>(comm.rank());
+          mine[r] = comm.rank() * 3.0;
+          comm.allreduce(mine.data(), all.data(), p, Datatype::f64(),
+                         f64_sum_op(), algo);
           comm.barrier();
-          got[static_cast<std::size_t>(comm.rank())] = in;
+          got[r] = all[static_cast<std::size_t>((comm.rank() + p - 1) % p)];
         },
         opts);
-    for (int r = 0; r < 12; ++r) {
-      EXPECT_EQ(got[static_cast<std::size_t>(r)], ((r + 11) % 12) * 3)
-          << "workers=" << workers;
+    return got;
+  };
+  for (const ReduceAlgo algo :
+       {ReduceAlgo::kLinear, ReduceAlgo::kBinomialTree,
+        ReduceAlgo::kRecursiveDoubling, ReduceAlgo::kRecursiveHalving}) {
+    RunOptions threaded;
+    threaded.mode = RunMode::kThreads;
+    const std::vector<double> want = ring(threaded, algo);
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(want[static_cast<std::size_t>(r)], ((r + p - 1) % p) * 3.0)
+          << "algo=" << static_cast<int>(algo);
+    }
+    for (const int workers : {1, 3}) {
+      RunOptions opts;
+      opts.mode = RunMode::kMultiplexed;
+      opts.workers = workers;
+      EXPECT_EQ(ring(opts, algo), want)
+          << "workers=" << workers << " algo=" << static_cast<int>(algo);
     }
   }
 }
@@ -692,39 +481,43 @@ TEST(Mpisim, HpReductionMatrixIsBitIdenticalAcrossEverything) {
           ReduceAlgo::kRecursiveDoubling, ReduceAlgo::kRecursiveHalving}) {
       for (const Wire wire : {Wire::kRaw, Wire::kSparse}) {
         for (const RunMode mode : {RunMode::kThreads, RunMode::kMultiplexed}) {
-          RunOptions opts;
-          opts.mode = mode;
-          opts.workers = 3;
-          std::vector<util::Limb> root_limbs;
-          HpStatus root_status = HpStatus::kOk;
-          run(ranks,
-              [&](Comm& comm) {
-                const auto slices = backends::partition(xs, comm.size());
-                HpDyn local(cfg);
-                for (const double x :
-                     slices[static_cast<std::size_t>(comm.rank())]) {
-                  local += x;
-                }
-                const HpDyn total =
-                    reduce_hp_value(comm, local, 0, algo, wire);
-                if (comm.rank() == 0) {
-                  root_limbs.assign(total.limbs().begin(),
-                                    total.limbs().end());
-                  root_status = total.status();
-                }
-              },
-              opts);
-          const auto ctx = [&] {
-            return "ranks=" + std::to_string(ranks) +
-                   " algo=" + std::to_string(static_cast<int>(algo)) +
-                   " wire=" + std::to_string(static_cast<int>(wire)) +
-                   " mode=" + std::to_string(static_cast<int>(mode));
-          };
-          ASSERT_EQ(root_limbs.size(), ref.limbs().size()) << ctx();
-          for (std::size_t i = 0; i < root_limbs.size(); ++i) {
-            EXPECT_EQ(root_limbs[i], ref.limbs()[i]) << ctx() << " limb " << i;
+          for (const int root : {0, ranks - 1}) {
+            RunOptions opts;
+            opts.mode = mode;
+            opts.workers = 3;
+            std::vector<util::Limb> root_limbs;
+            HpStatus root_status = HpStatus::kOk;
+            run(ranks,
+                [&](Comm& comm) {
+                  const auto slices = backends::partition(xs, comm.size());
+                  HpDyn local(cfg);
+                  for (const double x :
+                       slices[static_cast<std::size_t>(comm.rank())]) {
+                    local += x;
+                  }
+                  const HpDyn total =
+                      reduce_hp_value(comm, local, root, algo, wire);
+                  if (comm.rank() == root) {
+                    root_limbs.assign(total.limbs().begin(),
+                                      total.limbs().end());
+                    root_status = total.status();
+                  }
+                },
+                opts);
+            const auto ctx = [&] {
+              return "ranks=" + std::to_string(ranks) +
+                     " algo=" + std::to_string(static_cast<int>(algo)) +
+                     " wire=" + std::to_string(static_cast<int>(wire)) +
+                     " mode=" + std::to_string(static_cast<int>(mode)) +
+                     " root=" + std::to_string(root);
+            };
+            ASSERT_EQ(root_limbs.size(), ref.limbs().size()) << ctx();
+            for (std::size_t i = 0; i < root_limbs.size(); ++i) {
+              EXPECT_EQ(root_limbs[i], ref.limbs()[i])
+                  << ctx() << " limb " << i;
+            }
+            EXPECT_EQ(root_status, ref.status()) << ctx();
           }
-          EXPECT_EQ(root_status, ref.status()) << ctx();
         }
       }
     }
@@ -828,41 +621,6 @@ TEST(Mpisim, AutoModeSwitchesToMultiplexedAboveThreadLimit) {
 #else
   EXPECT_EQ(stats.mode, RunMode::kThreads);
 #endif
-}
-
-TEST(Mpisim, GroupReduceSupportsNewTopologiesAndSparseWire) {
-  const auto xs = workload::uniform_set(9000, 83);
-  const HpConfig cfg{6, 3};
-  const HpDyn ref = reduce_hp(xs, cfg);
-  for (const ReduceAlgo algo :
-       {ReduceAlgo::kRecursiveDoubling, ReduceAlgo::kRecursiveHalving}) {
-    std::vector<util::Limb> got;
-    run(9, [&](Comm& comm) {
-      const auto slices = backends::partition(xs, comm.size());
-      HpDyn local(cfg);
-      for (const double x : slices[static_cast<std::size_t>(comm.rank())]) {
-        local += x;
-      }
-      // One group containing everyone, but through the Group code path.
-      auto group = comm.split(0, comm.rank());
-      std::vector<std::byte> send(local.byte_size());
-      local.to_bytes(send.data());
-      std::vector<std::byte> recv(local.byte_size());
-      Op op = hp_sum_op(cfg, Wire::kSparse);
-      op.seed_status = static_cast<std::uint8_t>(local.status());
-      group.reduce(send.data(), recv.data(), 1, hp_datatype(cfg), op, 0,
-                   algo);
-      if (group.rank() == 0) {
-        HpDyn total(cfg);
-        total.from_bytes(recv.data());
-        got.assign(total.limbs().begin(), total.limbs().end());
-      }
-    });
-    ASSERT_EQ(got.size(), ref.limbs().size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], ref.limbs()[i]) << "algo=" << static_cast<int>(algo);
-    }
-  }
 }
 
 TEST(Mpisim, HallbergReduceInvariantAfterNormalize) {
