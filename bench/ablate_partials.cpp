@@ -9,15 +9,15 @@
 // double vs HP(6,3).
 //
 // Flags: --n (default 512k), --threads (default 4096), --seed.
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
 #include "common.hpp"
 #include "core/reduce.hpp"
 #include "cudasim/cudasim.hpp"
-#include "cudasim/hp_kernels.hpp"
+#include "cudasim/reduce.hpp"
 #include "util/table.hpp"
 #include "workload/workload.hpp"
 
@@ -33,20 +33,9 @@ struct Point {
 
 Point run_double(cudasim::Device& dev, const double* data, std::size_t n,
                  int threads, int partials_count, double ref) {
-  auto* partials =
-      static_cast<double*>(dev.dmalloc(partials_count * sizeof(double)));
-  const auto stats =
-      dev.launch(threads / 256, 256, [&](const cudasim::ThreadCtx& ctx) {
-        const int tid = ctx.global_id();
-        double* slot = &partials[tid % partials_count];
-        for (std::size_t i = static_cast<std::size_t>(tid); i < n;
-             i += static_cast<std::size_t>(threads)) {
-          dev.atomic_add_f64(slot, data[i]);
-        }
-      });
-  double total = 0;
-  for (int p = 0; p < partials_count; ++p) total += partials[p];
-  dev.dfree(partials);
+  cudasim::LaunchStats stats;
+  const double total = cudasim::reduce_f64_device(
+      dev, data, n, threads / 256, 256, partials_count, &stats);
   // Double result depends on partial boundaries; "correct" here means
   // within a loose tolerance of the HP-exact answer.
   return {stats.modeled_kernel_time, stats.cas_retries,
@@ -55,30 +44,11 @@ Point run_double(cudasim::Device& dev, const double* data, std::size_t n,
 
 Point run_hp(cudasim::Device& dev, const double* data, std::size_t n,
              int threads, int partials_count, double ref) {
-  constexpr int kLimbs = 6;
-  auto* partials = static_cast<std::uint64_t*>(
-      dev.dmalloc(partials_count * kLimbs * sizeof(std::uint64_t)));
-  const auto stats =
-      dev.launch(threads / 256, 256, [&](const cudasim::ThreadCtx& ctx) {
-        const int tid = ctx.global_id();
-        std::uint64_t* slot = &partials[(tid % partials_count) * kLimbs];
-        for (std::size_t i = static_cast<std::size_t>(tid); i < n;
-             i += static_cast<std::size_t>(threads)) {
-          const HpFixed<6, 3> v(data[i]);
-          // Timing harness; the finite uniform workload cannot overflow.
-          (void)cudasim::device_hp_atomic_add(dev, slot, v);
-        }
-      });
-  HpFixed<6, 3> total;
-  for (int p = 0; p < partials_count; ++p) {
-    HpFixed<6, 3> part;
-    std::memcpy(part.limbs().data(), &partials[p * kLimbs],
-                kLimbs * sizeof(std::uint64_t));
-    total += part;
-  }
-  dev.dfree(partials);
+  cudasim::LaunchStats stats;
+  const auto total = cudasim::reduce_hp_device<6, 3>(
+      dev, data, n, threads / 256, 256, partials_count, &stats);
   return {stats.modeled_kernel_time, stats.cas_retries,
-          total.to_double() == ref};
+          total.to_double() == ref && total.status() == HpStatus::kOk};
 }
 
 }  // namespace

@@ -39,21 +39,18 @@ inline constexpr const char* kMetricsFlag = "metrics";
 /// harness's known-flags list). Presence arms the hpsum_flight event
 /// recorder for the run (see arm_flight); after the run the recorded
 /// timeline is exported: bare `--flight` prints Chrome trace-event JSON to
-/// stdout, `--flight=FILE` writes it to FILE, and a FILE ending in ".bin"
-/// selects the compact binary dump (decode: tools/flight2chrome.py).
+/// stdout and `--flight=FILE` writes it to FILE.
 inline constexpr const char* kFlightFlag = "flight";
 
-/// The --pulse flag every bench harness accepts (add kPulseFlag,
-/// kPulseIntervalFlag, and kPulsePromFlag to the harness's known-flags
-/// list). Presence arms the hpsum_pulse background sampler for the run:
-/// bare `--pulse` streams JSONL ticks to "pulse.jsonl",
-/// `--pulse=FILE` picks the stream path. `--pulse-interval-ms=N` sets the
-/// tick interval (default 250) and `--pulse-prom=FILE` additionally
-/// rewrites Prometheus text exposition every tick. The HPSUM_PULSE
-/// environment variable arms the sampler even without the flag.
+/// The --pulse flag every bench harness accepts (add kPulseFlag and
+/// kPulseIntervalFlag to the harness's known-flags list). Presence arms
+/// the hpsum_pulse background sampler for the run: bare `--pulse` streams
+/// JSONL ticks to "pulse.jsonl", `--pulse=FILE` picks the stream path.
+/// `--pulse-interval-ms=N` sets the tick interval (default 250). The
+/// HPSUM_PULSE environment variable arms the sampler even without the
+/// flag.
 inline constexpr const char* kPulseFlag = "pulse";
 inline constexpr const char* kPulseIntervalFlag = "pulse-interval-ms";
-inline constexpr const char* kPulsePromFlag = "pulse-prom";
 
 /// Arms the flight recorder when --flight was given. Call right after
 /// argument parsing, BEFORE the measured work, so worker threads spawned
@@ -75,7 +72,6 @@ inline void arm_flight(const util::Args& args) {
   if (value != "true") cfg.jsonl_path = value;
   const auto ms = args.get_int(kPulseIntervalFlag, 250);
   cfg.interval = std::chrono::milliseconds(ms > 0 ? ms : 250);
-  cfg.prom_path = args.get_string(kPulsePromFlag, "");
   const bool ok = trace::pulse::arm(cfg);
   if (!ok && trace::enabled()) {
     std::fprintf(stderr, "error: could not start --pulse sampler on %s\n",
@@ -108,15 +104,12 @@ inline void arm_flight(const util::Args& args) {
   const std::string value = args.get_string(kFlightFlag, "");
   if (value.empty()) return true;
   const std::string path = value == "true" ? "" : value;
-  const bool binary =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".bin") == 0;
-  const bool ok = binary ? trace::flight::dump_binary(path)
-                         : trace::flight::dump_chrome_json(path);
-  if (!ok) {
+  if (!trace::flight::dump_chrome_json(path)) {
     std::fprintf(stderr, "error: could not write --flight file %s\n",
                  path.c_str());
+    return false;
   }
-  return ok;
+  return true;
 }
 
 /// Standard harness epilogue: stops the pulse sampler (final tick flushes

@@ -17,6 +17,7 @@
 // Flags: --nmax (default 2M; paper 16M), --trials (default 3), --seed.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <vector>
 
@@ -35,14 +36,22 @@ struct Times {
   double span = 0;
 };
 
+/// bench::time_min after one untimed call: at n = 128 a cold first call
+/// reads several times a warm one, so with --trials=1 the small-n rows
+/// would time the cold call.
+double warm_min(int trials, const std::function<void()>& fn) {
+  fn();
+  return bench::time_min(trials, fn);
+}
+
 Times time_hp(const std::vector<double>& xs, int trials) {
-  return {bench::time_min(trials,
-                          [&] {
-                            HpFixed<8, 4> acc;
-                            for (const double x : xs) acc += x;
-                            bench::sink(acc.to_double());
-                          }),
-          bench::time_min(trials, [&] {
+  return {warm_min(trials,
+                   [&] {
+                     HpFixed<8, 4> acc;
+                     for (const double x : xs) acc += x;
+                     bench::sink(acc.to_double());
+                   }),
+          warm_min(trials, [&] {
             HpFixed<8, 4> acc;
             acc.accumulate(xs);
             bench::sink(acc.to_double());
@@ -51,13 +60,13 @@ Times time_hp(const std::vector<double>& xs, int trials) {
 
 template <int N, int M>
 Times time_hallberg(const std::vector<double>& xs, int trials) {
-  return {bench::time_min(trials,
-                          [&] {
-                            HallbergFixed<N, M> acc;
-                            for (const double x : xs) acc.add(x);
-                            bench::sink(acc.to_double());
-                          }),
-          bench::time_min(trials, [&] {
+  return {warm_min(trials,
+                   [&] {
+                     HallbergFixed<N, M> acc;
+                     for (const double x : xs) acc.add(x);
+                     bench::sink(acc.to_double());
+                   }),
+          warm_min(trials, [&] {
             HallbergFixed<N, M> acc;
             acc.accumulate(xs);
             bench::sink(acc.to_double());

@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv,
                         {"n", "trials", "seed", "maxp", "csv",
                          bench::kMetricsFlag, bench::kFlightFlag,
-                         bench::kPulseFlag, bench::kPulseIntervalFlag,
-                         bench::kPulsePromFlag});
+                         bench::kPulseFlag, bench::kPulseIntervalFlag});
   bench::arm_flight(args);
   if (!bench::arm_pulse(args)) return 1;
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);

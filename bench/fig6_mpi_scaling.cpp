@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
                         {"n", "maxp", "seed", "algo", "wire", "mode", "dist",
                          "csv", "json", bench::kMetricsFlag,
                          bench::kFlightFlag, bench::kPulseFlag,
-                         bench::kPulseIntervalFlag, bench::kPulsePromFlag});
+                         bench::kPulseIntervalFlag});
   bench::arm_flight(args);
   if (!bench::arm_pulse(args)) return 1;
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);

@@ -22,6 +22,7 @@
 #include "core/reduce.hpp"
 #include "cudasim/cudasim.hpp"
 #include "cudasim/hp_kernels.hpp"
+#include "cudasim/reduce.hpp"
 #include "util/table.hpp"
 #include "workload/workload.hpp"
 
@@ -35,58 +36,30 @@ struct Point {
   double modeled = 0;
   std::uint64_t cas_retries = 0;
   double value = 0;
+  HpStatus status = HpStatus::kOk;  ///< the HP total's sticky status
 };
 
 Point run_double(cudasim::Device& dev, const double* data, std::size_t n,
                  int threads) {
-  auto* partials = static_cast<double*>(dev.dmalloc(kPartials * sizeof(double)));
-  const auto stats =
-      dev.launch(threads / 256, 256, [&](const cudasim::ThreadCtx& ctx) {
-        const int tid = ctx.global_id();
-        double* slot = &partials[tid % kPartials];
-        for (std::size_t i = static_cast<std::size_t>(tid); i < n;
-             i += static_cast<std::size_t>(threads)) {
-          dev.atomic_add_f64(slot, data[i]);
-        }
-      });
+  cudasim::LaunchStats stats;
   Point out;
-  double total = 0;
-  for (int p = 0; p < kPartials; ++p) total += partials[p];
-  out.value = total;
+  out.value = cudasim::reduce_f64_device(dev, data, n, threads / 256, 256,
+                                         kPartials, &stats);
   out.modeled = stats.modeled_kernel_time;
   out.cas_retries = stats.cas_retries;
-  dev.dfree(partials);
   return out;
 }
 
 Point run_hp(cudasim::Device& dev, const double* data, std::size_t n,
              int threads) {
-  constexpr int kLimbs = 6;
-  auto* partials = static_cast<std::uint64_t*>(
-      dev.dmalloc(kPartials * kLimbs * sizeof(std::uint64_t)));
-  const auto stats =
-      dev.launch(threads / 256, 256, [&](const cudasim::ThreadCtx& ctx) {
-        const int tid = ctx.global_id();
-        std::uint64_t* slot = &partials[(tid % kPartials) * kLimbs];
-        for (std::size_t i = static_cast<std::size_t>(tid); i < n;
-             i += static_cast<std::size_t>(threads)) {
-          const HpFixed<6, 3> v(data[i]);
-          // Timing harness; the finite uniform workload cannot overflow.
-          (void)cudasim::device_hp_atomic_add(dev, slot, v);
-        }
-      });
-  HpFixed<6, 3> total;
-  for (int p = 0; p < kPartials; ++p) {
-    HpFixed<6, 3> part;
-    std::memcpy(part.limbs().data(), &partials[p * kLimbs],
-                kLimbs * sizeof(std::uint64_t));
-    total += part;
-  }
+  cudasim::LaunchStats stats;
+  const auto total = cudasim::reduce_hp_device<6, 3>(
+      dev, data, n, threads / 256, 256, kPartials, &stats);
   Point out;
   out.value = total.to_double();
+  out.status = total.status();
   out.modeled = stats.modeled_kernel_time;
   out.cas_retries = stats.cas_retries;
-  dev.dfree(partials);
   return out;
 }
 
@@ -151,7 +124,8 @@ int main(int argc, char** argv) {
     const auto d = run_double(dev, data, xs.size(), threads);
     const auto h = run_hp(dev, data, xs.size(), threads);
     const auto b = run_hallberg(dev, data, xs.size(), threads);
-    hp_invariant = hp_invariant && (h.value == hp_seq);
+    hp_invariant =
+        hp_invariant && h.value == hp_seq && h.status == HpStatus::kOk;
     table.begin_row();
     table.add_int(threads);
     table.add_num(d.modeled, 4);

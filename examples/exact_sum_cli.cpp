@@ -11,11 +11,11 @@
 // (deposit-path counts, block flushes, status raises;
 // see docs/OBSERVABILITY.md) as JSON to stdout or FILE. --flight[=FILE]
 // arms the hpsum_flight event recorder and exports the run's timeline as
-// Chrome trace-event JSON (or the binary dump for FILE ending ".bin").
-// --pulse[=FILE] arms the hpsum_pulse background sampler (JSONL stream,
-// default pulse.jsonl; --pulse-interval-ms=N and --pulse-prom=FILE refine
-// it). --health[=FILE] evaluates the run's telemetry through the
-// src/audit health rules and prints the indicator report as JSON.
+// Chrome trace-event JSON. --pulse[=FILE] arms the hpsum_pulse background
+// sampler (JSONL stream, default pulse.jsonl; --pulse-interval-ms=N sets
+// its tick interval). --health[=FILE] evaluates the run's telemetry
+// through the src/audit health rules and prints the indicator report as
+// JSON.
 //
 // --shards=P additionally re-runs the reduction through the engine's
 // sharded sink: P depositor threads stream the data into P engine shards
@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
   try {
     const util::Args args(argc, argv,
                           {"metrics", "flight", "pulse", "pulse-interval-ms",
-                           "pulse-prom", "health", "shards",
-                           "snapshot-every"});
+                           "health", "shards", "snapshot-every"});
     if (!args.get_string("flight", "").empty()) trace::flight::arm();
     const std::string pulse = args.get_string("pulse", "");
     if (!pulse.empty()) {
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
       if (pulse != "true") pcfg.jsonl_path = pulse;
       const auto ms = args.get_int("pulse-interval-ms", 250);
       pcfg.interval = std::chrono::milliseconds(ms > 0 ? ms : 250);
-      pcfg.prom_path = args.get_string("pulse-prom", "");
       if (!trace::pulse::arm(pcfg) && trace::enabled()) {
         std::fprintf(stderr,
                      "exact_sum_cli: could not start --pulse sampler on %s\n",
@@ -191,11 +189,7 @@ int main(int argc, char** argv) {
     const std::string flight = args.get_string("flight", "");
     if (!flight.empty()) {
       const std::string path = flight == "true" ? "" : flight;
-      const bool binary = path.size() >= 4 &&
-                          path.compare(path.size() - 4, 4, ".bin") == 0;
-      const bool ok = binary ? trace::flight::dump_binary(path)
-                             : trace::flight::dump_chrome_json(path);
-      if (!ok) {
+      if (!trace::flight::dump_chrome_json(path)) {
         std::fprintf(stderr,
                      "exact_sum_cli: could not write --flight file %s\n",
                      path.c_str());

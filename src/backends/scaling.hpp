@@ -52,10 +52,10 @@ struct ScalingPoint {
 /// std::thread strong-scaling reduction: each of `pes` threads deposits
 /// its slice into an engine shard, the caller thread drains the set.
 /// This is the driver for the mpisim-style and generic figures. Routing
-/// through engine::ShardSet keeps the historical semantics (lane t holds
-/// thread t's partial; drain merges lanes in order — bit-identical limbs
-/// and status to the old explicit partials vector) while making the
-/// running total snapshot-able mid-flight.
+/// through engine::ShardSet keeps the historical semantics: lane t holds
+/// thread t's partial and drain merges lanes in order, bit-identical limbs
+/// and status to the old explicit partials vector. The set is local to
+/// this call, so nothing snapshots it while the threads run.
 template <class Acc>
 [[nodiscard]] ScalingPoint run_threads(std::span<const double> xs, int pes) {
   const trace::flight::ReductionScope reduction(xs.size());

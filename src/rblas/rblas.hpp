@@ -112,8 +112,8 @@ template <int N, int K>
 double sum_parallel(std::span<const double> x, int threads) {
   // Thread t's slice lands in engine lane t; drain() merges lanes in
   // thread-id order — the same partial/merge sequence as the historical
-  // explicit partials vector, so the result stays bit-identical to sum()
-  // while the running total is live-snapshot-able through the engine.
+  // explicit partials vector, so the result stays bit-identical to sum().
+  // The set is local to this call; nothing snapshots it mid-run.
   engine::ShardSet<backends::HpSum<N, K>> sink(
       static_cast<std::size_t>(threads));
   util::OmpRegionFence fence;

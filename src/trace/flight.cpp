@@ -235,30 +235,6 @@ void append_args(std::string& out, const Event& e) {
   out += '}';
 }
 
-/// Little-endian binary writers: the dump format is pinned LE so
-/// tools/flight2chrome.py decodes it with a fixed struct layout.
-void put_u16(std::string& out, std::uint16_t v) {
-  out += static_cast<char>(v & 0xff);
-  out += static_cast<char>((v >> 8) & 0xff);
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffull));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-bool write_file(const std::string& path, const std::string& body,
-                bool binary) {
-  std::FILE* f = std::fopen(path.c_str(), binary ? "wb" : "w");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return n == body.size();
-}
-
 #if HPSUM_TRACE_ENABLED
 /// Arms the recorder at startup when HPSUM_FLIGHT is set in the
 /// environment (any value other than empty or "0").
@@ -477,34 +453,11 @@ bool dump_chrome_json(const std::string& path) {
     std::fputs(json.c_str(), stdout);
     return true;
   }
-  return write_file(path, json, /*binary=*/false);
-}
-
-bool dump_binary(const std::string& path) {
-  if (path.empty() || path == "-") return false;
-  const std::vector<ThreadEvents> threads = collect();
-  std::string out;
-  out += "HPFLIGT1";
-  put_u32(out, 2);  // format version
-  put_u32(out, static_cast<std::uint32_t>(threads.size()));
-  for (const ThreadEvents& te : threads) {
-    const std::string& label = te.track.label;
-    put_u16(out, static_cast<std::uint16_t>(
-                     label.size() > 0xffff ? 0xffff : label.size()));
-    out.append(label.data(), label.size() > 0xffff ? 0xffff : label.size());
-    put_u32(out, static_cast<std::uint32_t>(te.track.pid));
-    put_u32(out, static_cast<std::uint32_t>(te.track.tid));
-    put_u64(out, te.events.size());
-    for (const Event& e : te.events) {
-      put_u64(out, e.ts_ns);
-      put_u16(out, e.id);
-      put_u16(out, e.phase);
-      put_u32(out, e.reserved);
-      put_u64(out, e.arg0);
-      put_u64(out, e.arg1);
-    }
-  }
-  return write_file(path, out, /*binary=*/true);
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
+  std::fclose(f);
+  return n == json.size();
 }
 
 void reset() noexcept {

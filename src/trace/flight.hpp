@@ -4,7 +4,7 @@
 // nanoseconds. It cannot answer "when, in what order, on which PE" — which
 // is exactly the information needed to debug a cross-backend divergence or
 // a modeled-scaling anomaly. This layer is the second half of the pair:
-// per-thread ring buffers of fixed-size binary event records that can be
+// per-thread ring buffers of fixed-size event records that can be
 // exported as a Chrome trace-event timeline (Perfetto / chrome://tracing)
 // or handed to src/audit as the "last K events per thread" section of a
 // first-divergence forensic bundle.
@@ -13,7 +13,7 @@
 //   - Fixed-size 32-byte records: steady-clock nanosecond timestamp, event
 //     id, phase (begin/end/instant), and two u64 arguments whose meaning is
 //     per-event (see EventId). docs/OBSERVABILITY.md documents the
-//     taxonomy and the binary layout.
+//     taxonomy.
 //   - One lock-free ring per thread (kRingCapacity records), written only
 //     by the owning thread as relaxed atomic words — no locks, no
 //     cross-thread contention on the hot path. When the ring wraps, the
@@ -80,8 +80,7 @@ inline constexpr std::size_t kEventIdCount =
 /// Record phase: Chrome's "i" / "B" / "E".
 enum class Phase : std::uint16_t { kInstant = 0, kBegin = 1, kEnd = 2 };
 
-/// One binary flight record (32 bytes, little-endian in the binary dump;
-/// tools/flight2chrome.py decodes exactly this layout).
+/// One flight record (32 bytes).
 struct Event {
   std::uint64_t ts_ns = 0;     ///< steady_clock nanoseconds since arming
   std::uint16_t id = 0;        ///< EventId
@@ -258,11 +257,6 @@ struct ThreadEvents {
 /// Writes to_chrome_json(collect()) to `path` ("-" or "" = stdout).
 /// Returns false (writing nothing) if the file cannot be opened.
 bool dump_chrome_json(const std::string& path);
-
-/// Writes the compact binary dump ("HPFLIGT1" header; layout in
-/// docs/OBSERVABILITY.md) decoded by tools/flight2chrome.py. Returns false
-/// if the file cannot be opened ("-"/"" is invalid for binary output).
-bool dump_binary(const std::string& path);
 
 /// Drops every retained event (live rings rewind, retired rings are
 /// freed). Like trace::reset(): for tests and bench warmup isolation;

@@ -39,30 +39,8 @@ std::uint64_t now_epoch_ms() {
           .count());
 }
 
-/// Catalog name -> Prometheus metric name: "hpsum_" prefix, '.' -> '_'.
-std::string prom_name(std::string_view dotted) {
-  std::string out = "hpsum_";
-  for (const char c : dotted) out += c == '.' ? '_' : c;
-  return out;
-}
-
-/// Atomic rewrite: write tmp, rename over the target so a scraper never
-/// reads a half-written exposition.
-bool write_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs(body.c_str(), f) >= 0;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-/// One sampler tick: snapshot, diff, append the JSONL line, rewrite the
-/// Prometheus exposition. Caller holds no locks the probes need.
+/// One sampler tick: snapshot, diff, append the JSONL line. Caller holds
+/// no locks the probes need.
 void tick(Sampler& s) {
   const Snapshot cur = snapshot();
   const Snapshot delta = cur.delta_since(s.prev);
@@ -78,9 +56,6 @@ void tick(Sampler& s) {
   line += '\n';
   std::fputs(line.c_str(), s.jsonl);
   std::fflush(s.jsonl);
-  if (!s.cfg.prom_path.empty()) {
-    write_atomic(s.cfg.prom_path, to_prometheus(cur));
-  }
 }
 
 void run(Sampler& s) {
@@ -143,9 +118,6 @@ bool arm_from_env() {
     const long v = std::strtol(ms, nullptr, 10);
     if (v > 0) cfg.interval = std::chrono::milliseconds(v);
   }
-  if (const char* prom = std::getenv("HPSUM_PULSE_PROM")) {
-    if (prom[0] != '\0') cfg.prom_path = prom;
-  }
   return arm(cfg);
 }
 
@@ -193,16 +165,6 @@ std::string jsonl_tick(const Snapshot& delta, std::uint64_t ts_ms,
     out += std::to_string(delta.values[i]);
   }
   out += "}}";
-  return out;
-}
-
-std::string to_prometheus(const Snapshot& total) {
-  std::string out;
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    const std::string name = prom_name(counter_name(static_cast<Counter>(i)));
-    out += "# TYPE " + name + " counter\n";
-    out += name + "_total " + std::to_string(total.values[i]) + "\n";
-  }
   return out;
 }
 

@@ -3,16 +3,12 @@
 // trace.hpp answers "how much so far" and flight.hpp answers "when, in
 // what order". Neither shows a run's counters *while it runs*: a long
 // bench or `exact_sum_cli` over a big stream, watched by
-// tools/hpsum_top.py or scraped by Prometheus. This layer is that view: a
-// runtime-armable background sampler thread that snapshots the counter
-// catalog on a fixed interval and exports two synchronized views:
-//
-//   - JSONL stream (required): one header line describing the stream, then
-//     one line per tick carrying the per-tick *delta* of every counter
-//     (nonzero entries only). `tools/hpsum_top.py` tails this live;
-//     `tools/telemetry_smoke.py` validates it in CI.
-//   - Prometheus text exposition (optional): cumulative counter totals as
-//     `_total` series, rewritten atomically (tmp + rename) every tick.
+// tools/hpsum_top.py. This layer is that view: a runtime-armable
+// background sampler thread that snapshots the counter catalog on a fixed
+// interval and appends it to a JSONL stream: one header line describing
+// the stream, then one line per tick carrying the per-tick *delta* of
+// every counter (nonzero entries only). `tools/hpsum_top.py` tails this
+// live; `tools/telemetry_smoke.py` validates it in CI.
 //
 // Timestamps are monotone by construction: the wall-clock epoch is read
 // once at arm() and every tick stamps epoch_ms + steady_clock delta, so a
@@ -20,9 +16,9 @@
 //
 // Arming mirrors the flight recorder: explicit arm(Config), the
 // HPSUM_PULSE environment variable (value = JSONL path, or "1" for the
-// default "pulse.jsonl"; HPSUM_PULSE_INTERVAL_MS and HPSUM_PULSE_PROM
-// refine it), or a harness's --pulse flags (bench/common.hpp). disarm()
-// takes one final tick so short runs still produce a complete stream.
+// default "pulse.jsonl"; HPSUM_PULSE_INTERVAL_MS sets the interval), or a
+// harness's --pulse flags (bench/common.hpp). disarm() takes one final
+// tick so short runs still produce a complete stream.
 //
 // Under -DHPSUM_TRACE=OFF the sampler never starts: arm() writes only the
 // stream header (with "enabled": false) and reports failure, keeping the
@@ -38,11 +34,9 @@
 
 namespace hpsum::trace::pulse {
 
-/// Sampler configuration. jsonl_path is the stream; prom_path, when
-/// nonempty, additionally rewrites Prometheus exposition every tick.
+/// Sampler configuration: the JSONL stream path and the tick interval.
 struct Config {
   std::string jsonl_path = "pulse.jsonl";
-  std::string prom_path;  ///< empty = no Prometheus export
   std::chrono::milliseconds interval{250};
 };
 
@@ -57,8 +51,8 @@ struct Config {
 /// file cannot be opened.
 bool arm(const Config& cfg);
 
-/// Arms from the environment (HPSUM_PULSE / HPSUM_PULSE_INTERVAL_MS /
-/// HPSUM_PULSE_PROM). Returns false when HPSUM_PULSE is unset/empty/"0"
+/// Arms from the environment (HPSUM_PULSE / HPSUM_PULSE_INTERVAL_MS).
+/// Returns false when HPSUM_PULSE is unset/empty/"0"
 /// or arm() fails. Harnesses call this once at startup.
 bool arm_from_env();
 
@@ -81,10 +75,5 @@ void disarm() noexcept;
 /// deltas.
 [[nodiscard]] std::string jsonl_tick(const Snapshot& delta,
                                      std::uint64_t ts_ms, std::uint64_t seq);
-
-/// Prometheus text exposition of cumulative counter totals. Metric names
-/// are the catalog names with '.'->'_', an "hpsum_" prefix and a "_total"
-/// suffix.
-[[nodiscard]] std::string to_prometheus(const Snapshot& total);
 
 }  // namespace hpsum::trace::pulse

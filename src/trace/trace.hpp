@@ -32,8 +32,8 @@
 //     constant evaluation, so the static_assert proofs in
 //     tests/test_constexpr_proofs.cpp still hold.
 //
-// The background sampler/exporter over these snapshots (JSONL deltas +
-// Prometheus exposition) is src/trace/pulse.hpp; the derived health-rule
+// The background sampler/exporter over these snapshots (a JSONL delta
+// stream) is src/trace/pulse.hpp; the derived health-rule
 // layer is src/audit/health.hpp. docs/OBSERVABILITY.md has the catalog,
 // export schemas, and measured overhead numbers.
 #pragma once

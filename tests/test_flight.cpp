@@ -1,13 +1,11 @@
 // hpsum_flight tests: arming semantics, ring capacity and drop-oldest
 // accounting, ReductionScope id plumbing, collect()/last_k trimming, the
-// Chrome trace-event JSON shape, and the binary dump format. Suites are
+// Chrome trace-event JSON shape and its file export. Suites are
 // named TraceFlight* so the TSan CI subset (ctest -R '...|Trace') picks
 // them up. Assertions branch on trace::enabled() so the same source
 // passes in HPSUM_TRACE=OFF builds, where the recorder never records.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -309,61 +307,6 @@ TEST(TraceFlightExport, DumpChromeJsonFailurePathReturnsFalse) {
   EXPECT_FALSE(flight::dump_chrome_json("/nonexistent-dir/flight.json"));
   // A directory path cannot be opened for writing either.
   EXPECT_FALSE(flight::dump_chrome_json(::testing::TempDir()));
-}
-
-TEST(TraceFlightExport, BinaryDumpPinsMagicVersionAndRecordLayout) {
-  const ArmedScope armed;
-  flight::set_track("bintest", 2, 1);
-  flight::instant(flight::EventId::kStatusRaise, 1, 9);
-
-  EXPECT_FALSE(flight::dump_binary(""));   // stdout is invalid for binary
-  EXPECT_FALSE(flight::dump_binary("-"));
-  EXPECT_FALSE(flight::dump_binary("/nonexistent-dir/flight.bin"));
-
-  const std::string path = ::testing::TempDir() + "hpsum_flight_test.bin";
-  ASSERT_TRUE(flight::dump_binary(path));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string bytes(1 << 16, '\0');
-  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
-  std::fclose(f);
-  std::remove(path.c_str());
-
-  ASSERT_GE(bytes.size(), 16u);
-  EXPECT_EQ(bytes.compare(0, 8, "HPFLIGT1"), 0);
-  const auto u32_at = [&bytes](std::size_t off) {
-    std::uint32_t v = 0;
-    std::memcpy(&v, bytes.data() + off, sizeof v);  // host is little-endian
-    return v;
-  };
-  EXPECT_EQ(u32_at(8), 2u);  // format version
-  const std::uint32_t nthreads = u32_at(12);
-  if constexpr (trace::enabled()) {
-    ASSERT_EQ(nthreads, 1u);
-    // Thread record: u16 label_len, label, u32 pid, u32 tid, u64 count,
-    // then 32-byte events.
-    std::size_t off = 16;
-    std::uint16_t label_len = 0;
-    std::memcpy(&label_len, bytes.data() + off, sizeof label_len);
-    off += 2;
-    EXPECT_EQ(bytes.substr(off, label_len), "bintest");
-    off += label_len;
-    EXPECT_EQ(u32_at(off), 2u);      // pid
-    EXPECT_EQ(u32_at(off + 4), 1u);  // tid
-    std::uint64_t count = 0;
-    std::memcpy(&count, bytes.data() + off + 8, sizeof count);
-    ASSERT_EQ(count, 1u);
-    ASSERT_EQ(bytes.size(), off + 16 + 32);  // exactly one 32-byte record
-    flight::Event ev;
-    std::memcpy(&ev, bytes.data() + off + 16, sizeof ev);
-    EXPECT_EQ(static_cast<flight::EventId>(ev.id),
-              flight::EventId::kStatusRaise);
-    EXPECT_EQ(ev.arg0, 1u);
-    EXPECT_EQ(ev.arg1, 9u);
-  } else {
-    EXPECT_EQ(nthreads, 0u);
-    EXPECT_EQ(bytes.size(), 16u);  // header only, still well-formed
-  }
 }
 
 }  // namespace

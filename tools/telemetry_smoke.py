@@ -4,9 +4,9 @@ from one place (schemas in docs/OBSERVABILITY.md).
 
 Runs, from --build-dir:
 
-  1. bench/fig6_mpi_scaling at n with --metrics, --flight (Chrome JSON),
-     --pulse and --pulse-prom together;
-  2. bench/fig6_mpi_scaling at 2n with --flight=FILE.bin and --metrics;
+  1. bench/fig6_mpi_scaling at n with --metrics, --flight and --pulse
+     together;
+  2. bench/fig6_mpi_scaling at 2n with --metrics;
   3. examples/exact_sum_cli with --pulse and --health on a fixed input.
 
 and checks:
@@ -19,21 +19,17 @@ and checks:
     ``ts_ms`` monotone from ``epoch_ms``, tick deltas nonzero
     non-negative integers whose names resolve in the same run's
     --metrics catalog, and summed deltas equal to the --metrics totals;
-  * --pulse-prom: every line a ``# TYPE name counter`` comment or a
-    ``name_total value`` sample, one per catalog counter, equal to the
-    --metrics totals;
   * --flight: >= 2 mpisim rank lanes, a ``reduction_id`` shared by
     ``mpi.reduce`` spans on >= 2 lanes and by a ``local.reduce`` span,
-    balanced B/E spans per track; the binary dump of run 2, decoded by
-    tools/flight2chrome.py, passes the same checks on the same lanes;
+    balanced B/E spans per track;
   * --health: tools/hpsum_top.py's rule mirror, recomputed from the
     summed pulse deltas, equals the C++ report on every indicator's name,
     level, numerator, denominator and thresholds.
 
 With --expect-disabled (an HPSUM_TRACE=OFF build) the gate flips: the
 --metrics export is ``"enabled": false`` with every counter zero, the
-pulse stream is its header alone (``"enabled": false``), no Prometheus
-file is written, and the health mirror still agrees (all n/a).
+pulse stream is its header alone (``"enabled": false``), and the health
+mirror still agrees (all n/a).
 
 --selftest feeds hand-built exports, each broken in one way, to the same
 checks; each must fail naming its defect, and the clean exports must pass.
@@ -41,15 +37,13 @@ It runs no binary.
 
 Exit status: 0 on pass, 1 on a check failure, 2 when a binary is missing.
 Registered as the ``telemetry_smoke`` ctest (``telemetry_smoke_disabled`` in
-an HPSUM_TRACE=OFF build) and ``telemetry_smoke_selftest``; see
-bench/CMakeLists.txt for the older names that run the same gate.
+an HPSUM_TRACE=OFF build) and ``telemetry_smoke_selftest``.
 """
 
 import argparse
 import collections
 import json
 import pathlib
-import re
 import subprocess
 import sys
 import tempfile
@@ -69,9 +63,6 @@ BLOCK_DEPOSITS = "core.block.deposits"
 # block, status and snapshot rules have nonzero denominators.
 CLI_VALUES = [f"{i}.25" for i in range(1, 5001)]
 CLI_FLAGS = ["--shards=2", "--snapshot-every=256"]
-
-PROM_TYPE = re.compile(r"^# TYPE (hpsum_[a-z0-9_]+) counter$")
-PROM_SAMPLE = re.compile(r"^(hpsum_[a-z0-9_]+)_total (\d+)$")
 
 
 def nonneg_int(v):
@@ -181,45 +172,18 @@ def check_pulse(lines, catalog, failures, enabled=True):
                             f"{totals.get(name, 0)}, --metrics says {v}")
 
 
-def prom_name(name):
-    return "hpsum_" + name.replace(".", "_")
-
-
-def check_prometheus(text, catalog, failures):
-    typed, samples = set(), {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        t, m = PROM_TYPE.match(line), PROM_SAMPLE.match(line)
-        if t:
-            typed.add(t.group(1))
-        elif m:
-            samples[m.group(1)] = int(m.group(2))
-        else:
-            failures.append(f"prometheus line {lineno}: unparsable: "
-                            f"{line!r}")
-    for name, v in catalog.items():
-        series = prom_name(name)
-        if series not in typed:
-            failures.append(f"prometheus: no TYPE line for {series}")
-        if samples.get(series) != v:
-            failures.append(f"prometheus: {series}_total is "
-                            f"{samples.get(series)!r}, --metrics says {v}")
-    phantom = set(samples) - {prom_name(n) for n in catalog}
-    if phantom:
-        failures.append(f"prometheus: phantom series {sorted(phantom)}")
-
-
 def check_flight(events, failures, label):
-    """Chrome trace events; returns the mpisim rank lanes (pids)."""
+    """Chrome trace events from fig6: rank lanes, shared ids, balance."""
     if not events:
         failures.append(f"{label}: \"traceEvents\" missing or empty")
-        return set()
+        return
     for i, ev in enumerate(events):
         missing = [k for k in ("name", "ph", "pid", "tid")
                    if not isinstance(ev, dict) or k not in ev]
         if missing or (ev["ph"] != "M" and "ts" not in ev):
             failures.append(f"{label}: traceEvents[{i}] lacks "
                             f"{missing or ['ts']}")
-            return set()
+            return
     lanes = {ev["pid"] for ev in events if ev["ph"] == "M"
              and ev["name"] == "process_name"
              and ev.get("args", {}).get("name", "").startswith("mpisim ")}
@@ -255,7 +219,6 @@ def check_flight(events, failures, label):
         if d:
             failures.append(f"{label}: unbalanced B/E span {name!r} on "
                             f"pid={pid} tid={tid}: B-E = {d:+d}")
-    return lanes
 
 
 def check_health(report, counters, failures):
@@ -283,10 +246,7 @@ def check_all(x, enabled=True):
     check_pulse(x["pulse"], catalog, failures, enabled)
     check_health(x["health"], summed(x["cli_pulse"]), failures)
     if not enabled:
-        if x["prom"] is not None:
-            failures.append("prometheus: disabled build wrote a file")
         return failures
-    check_prometheus(x["prom"], catalog, failures)
     big = check_metrics(x["metrics_2n"], failures, "metrics 2n")
     small_n = catalog.get(BLOCK_DEPOSITS, 0)
     if small_n == 0:
@@ -295,12 +255,7 @@ def check_all(x, enabled=True):
     if big.get(BLOCK_DEPOSITS, 0) < small_n:
         failures.append(f"metrics: {BLOCK_DEPOSITS} shrank when n doubled "
                         f"({small_n} -> {big.get(BLOCK_DEPOSITS)})")
-    lanes = check_flight(x["flight"], failures, "flight json")
-    bin_lanes = check_flight(x["flight_bin"], failures, "flight bin")
-    if lanes != bin_lanes:
-        failures.append(f"flight: lane mismatch: the binary dump decoded to "
-                        f"lanes {sorted(bin_lanes)}, the JSON export has "
-                        f"{sorted(lanes)}")
+    check_flight(x["flight"], failures, "flight")
     return failures
 
 
@@ -328,24 +283,19 @@ def run_binaries(build_dir, tmp, enabled):
     flight = [f"--flight={t / 'flight.json'}"] if enabled else []
     run([fig6, f"--n={N}", f"--maxp={MAXP}", f"--metrics={t / 'm.json'}",
          f"--pulse={t / 'p.jsonl'}", f"--pulse-interval-ms={INTERVAL_MS}",
-         f"--pulse-prom={t / 'p.prom'}", *flight])
+         *flight])
     run([cli, f"--pulse={t / 'cli.jsonl'}",
          f"--pulse-interval-ms={INTERVAL_MS}", f"--health={t / 'h.json'}",
          *CLI_FLAGS], stdin="\n".join(CLI_VALUES) + "\n")
-    prom = t / "p.prom"
     x = {"metrics": read_json(t / "m.json"),
          "pulse": read_jsonl(t / "p.jsonl"),
-         "prom": prom.read_text(encoding="utf-8") if prom.exists() else None,
          "cli_pulse": read_jsonl(t / "cli.jsonl"),
          "health": read_json(t / "h.json")}
     if enabled:
         run([fig6, f"--n={2 * N}", f"--maxp={MAXP}",
-             f"--metrics={t / 'm2.json'}", f"--flight={t / 'flight.bin'}"])
-        run([sys.executable, TOOLS / "flight2chrome.py", t / "flight.bin",
-             "-o", t / "decoded.json"])
+             f"--metrics={t / 'm2.json'}"])
         x["metrics_2n"] = read_json(t / "m2.json")
         x["flight"] = read_json(t / "flight.json").get("traceEvents")
-        x["flight_bin"] = read_json(t / "decoded.json").get("traceEvents")
     return x
 
 
@@ -372,17 +322,13 @@ def clean_exports():
                            "ts": 1, "args": {"reduction_id": 7}})
             events.append({"name": name, "ph": "E", "pid": pid, "tid": 0,
                            "ts": 2})
-    prom = "".join(f"# TYPE {prom_name(n)} counter\n{prom_name(n)}_total {v}\n"
-                   for n, v in counters.items())
     return {
         "metrics": {"hpsum_trace": TRACE_VERSION, "enabled": True,
                     "counters": dict(counters)},
         "metrics_2n": {"hpsum_trace": TRACE_VERSION, "enabled": True,
                        "counters": {**counters, "core.block.deposits": 200}},
         "pulse": [header, *ticks],
-        "prom": prom,
         "flight": events,
-        "flight_bin": json.loads(json.dumps(events)),
         "cli_pulse": [header, *json.loads(json.dumps(ticks))],
         "health": {"hpsum_health": 1,
                    "indicators": hpsum_top.health_rows(counters)},
@@ -395,7 +341,6 @@ def disabled_exports():
     x["metrics"]["counters"] = {n: 0 for n in x["metrics"]["counters"]}
     x["pulse"] = [{**x["pulse"][0], "enabled": False}]
     x["cli_pulse"] = list(x["pulse"])
-    x["prom"] = None
     x["health"]["indicators"] = hpsum_top.health_rows({})
     return x
 
@@ -446,10 +391,6 @@ def selftest():
            "zero delta")
     expect("unbalanced B/E span",
            broken(lambda x: x["flight"].pop()), "unbalanced B/E span")
-    expect("JSON/binary lane mismatch",
-           broken(lambda x: x["flight_bin"].extend(
-               [{**x["flight_bin"][0], "pid": 9,
-                 "args": {"name": "mpisim 9"}}])), "lane mismatch")
     expect("nonzero counter in a disabled build",
            broken(set_in(["metrics", "counters", "core.block.deposits"], 3),
                   enabled=False), "disabled build")
@@ -463,11 +404,6 @@ def selftest():
     expect("pulse totals differ from --metrics",
            broken(set_in(["pulse", 1, "counters", "core.block.deposits"],
                          61)), "summed deltas")
-    expect("prometheus total differs from --metrics",
-           broken(lambda x: x.update(prom=x["prom"].replace(
-               "hpsum_core_block_deposits_total 100",
-               "hpsum_core_block_deposits_total 99"))),
-           "hpsum_core_block_deposits_total")
     print(f"telemetry_smoke --selftest: "
           f"{'PASS' if all(results) else 'FAIL'} "
           f"({sum(results)}/{len(results)})")
