@@ -21,9 +21,11 @@
 #include "util/table.hpp"
 #include "workload/workload.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpsum;
-  const util::Args args(argc, argv, {"n", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+namespace {
+
+using namespace hpsum;
+
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 1024 * 1024, 16 * 1024 * 1024);
   const auto trials = static_cast<int>(args.get_int("trials", 3));
@@ -88,4 +90,12 @@ int main(int argc, char** argv) {
       "plus periodic normalizations — the expense the paper cites for "
       "rejecting it.\n");
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "trials", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

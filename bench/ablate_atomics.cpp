@@ -69,10 +69,7 @@ double run(Strategy strategy, const std::vector<double>& xs, int threads,
   return seconds;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"n", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 256 * 1024, 4 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
@@ -102,4 +99,12 @@ int main(int argc, char** argv) {
       "64-bit fetch_add (CUDA-era constraint) and avoids the mutex's "
       "serialization of the whole %d-limb update.\n", 6);
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

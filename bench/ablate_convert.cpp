@@ -71,10 +71,7 @@ struct ScatterRow {
   double reference_ns;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"n", "seed", "csv", "json", bench::kMetricsFlag, bench::kFlightFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 10));
@@ -159,4 +156,12 @@ int main(int argc, char** argv) {
   }
   if (!record.write(args)) return 1;
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "seed", "csv", "json", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

@@ -18,9 +18,11 @@
 #include "util/table.hpp"
 #include "workload/workload.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpsum;
-  const util::Args args(argc, argv, {"n", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+namespace {
+
+using namespace hpsum;
+
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 1024 * 1024, 16 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
@@ -67,4 +69,12 @@ int main(int argc, char** argv) {
       static_cast<long long>(static_cast<std::int64_t>(n) / (8192 / 256)));
   dev.dfree(data);
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

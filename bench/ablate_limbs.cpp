@@ -41,10 +41,7 @@ void row(util::TablePrinter& table, const std::vector<double>& xs,
   table.add_num(per / (*unit1 * N), 3);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"n", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
@@ -73,4 +70,12 @@ int main(int argc, char** argv) {
       "flush and the HP + HP combines walk all N limbs, and this bench "
       "times neither.\n");
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

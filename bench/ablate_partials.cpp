@@ -51,10 +51,7 @@ Point run_hp(cudasim::Device& dev, const double* data, std::size_t n,
           total.to_double() == ref && total.status() == HpStatus::kOk};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"n", "threads", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 512 * 1024, 8 * 1024 * 1024);
   const auto threads = static_cast<int>(args.get_int("threads", 4096));
@@ -94,4 +91,12 @@ int main(int argc, char** argv) {
       "partial count.\n");
   dev.dfree(data);
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "threads", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

@@ -57,10 +57,7 @@ Point combine_phase(int ranks, const mpisim::Datatype& dt,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"maxp", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto maxp = static_cast<int>(args.get_int("maxp", 128));
   const auto trials = static_cast<int>(args.get_int("trials", 5));
@@ -128,4 +125,12 @@ int main(int argc, char** argv) {
       "at scale; the double results typically split between algorithms "
       "while HP is identical by construction.\n");
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"maxp", "trials", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

@@ -105,12 +105,7 @@ double sweep_point(std::span<const double> xs, std::size_t shards,
   return static_cast<double>(xs.size()) / secs;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv,
-                        {"n", "seed", "chunk", "maxshards", "csv", "json",
-                         bench::kMetricsFlag, bench::kFlightFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
@@ -183,4 +178,12 @@ int main(int argc, char** argv) {
   record.add("overhead_ratio", overhead, "ratio", bench::Better::kLower);
   if (!record.write(args)) return 1;
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "seed", "chunk", "maxshards", "csv", "json",
+                          bench::kMetricsFlag, bench::kFlightFlag}, run);
 }

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -114,13 +115,38 @@ inline void arm_flight(const util::Args& args) {
 
 /// Standard harness epilogue: stops the pulse sampler (final tick flushes
 /// the end-of-run state), exports --metrics and --flight, and converts any
-/// export failure into a nonzero exit status. Every bench main() ends with
+/// export failure into a nonzero exit status. Every harness body ends with
 /// `return bench::finish(args);`.
 [[nodiscard]] inline int finish(const util::Args& args) {
   trace::pulse::disarm();
   const bool metrics_ok = emit_metrics(args);
   const bool flight_ok = emit_flight(args);
   return metrics_ok && flight_ok ? 0 : 1;
+}
+
+/// Runs a harness body over the parsed command line; every bench main()
+/// is `return bench::run_main(argc, argv, {flags...}, run);`. A bad command
+/// line — an unknown flag, a non-flag argument, or a flag value the body
+/// cannot use — prints the error and the accepted flags to stderr and
+/// returns 2 instead of aborting on an uncaught exception. util::Args
+/// reports those as std::invalid_argument, and a library call handed a
+/// flag it cannot take (e.g. zero lanes) throws another std::logic_error;
+/// in a harness every such throw traces back to a flag value.
+[[nodiscard]] inline int run_main(int argc, char** argv,
+                                  const std::vector<std::string>& known,
+                                  int (*body)(const util::Args&)) {
+  try {
+    const util::Args args(argc, argv, known);
+    return body(args);
+  } catch (const std::logic_error& e) {
+    std::fprintf(stderr, "error: %s\nusage: %s [--flag[=value]]...\nflags:",
+                 e.what(), argc > 0 ? argv[0] : "bench");
+    for (const std::string& flag : known) {
+      std::fprintf(stderr, " --%s", flag.c_str());
+    }
+    std::fprintf(stderr, "%s\n", known.empty() ? " (none)" : "");
+    return 2;
+  }
 }
 
 /// Problem-size selection: explicit flag > HPSUM_FULL > scaled default.

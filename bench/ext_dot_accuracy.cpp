@@ -18,9 +18,11 @@
 #include "util/table.hpp"
 #include "workload/workload.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpsum;
-  const util::Args args(argc, argv, {"pairs", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+namespace {
+
+using namespace hpsum;
+
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto pairs = bench::pick(args, "pairs", 100 * 1024, 1024 * 1024);
   const auto trials = static_cast<int>(args.get_int("trials", 3));
@@ -62,4 +64,12 @@ int main(int argc, char** argv) {
       "Dot2 survives to ~2^106; the HP dot is exact (error 0) at every "
       "condition number its format covers — and order-invariant.\n");
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"pairs", "trials", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

@@ -18,9 +18,11 @@
 #include "util/table.hpp"
 #include "workload/workload.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpsum;
-  const util::Args args(argc, argv, {"trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+namespace {
+
+using namespace hpsum;
+
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto trials = bench::pick(args, "trials", 2048, 16384);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20160523));
@@ -56,4 +58,12 @@ int main(int argc, char** argv) {
       "\nexpected shape: stddev(double) grows ~linearly with n "
       "(paper: ~1.1e-17 at n=1024); stddev(HP) identically 0.\n");
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"trials", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

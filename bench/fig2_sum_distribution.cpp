@@ -18,9 +18,11 @@
 #include "stats/stats.hpp"
 #include "workload/workload.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpsum;
-  const util::Args args(argc, argv, {"trials", "n", "seed", "bins", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+namespace {
+
+using namespace hpsum;
+
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto trials = bench::pick(args, "trials", 4096, 16384);
   const auto n = static_cast<std::size_t>(args.get_int("n", 1024));
@@ -65,4 +67,12 @@ int main(int argc, char** argv) {
       "error is an unbiased random walk.\nHP reference: every one of these "
       "trials sums to exactly 0 in HP(3,2) (see fig1 bench).\n");
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"trials", "n", "seed", "bins", "csv",
+                          bench::kMetricsFlag, bench::kFlightFlag}, run);
 }

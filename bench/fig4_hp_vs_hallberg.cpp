@@ -73,10 +73,7 @@ Times time_hallberg(const std::vector<double>& xs, int trials) {
           })};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"nmax", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   // The crossover the paper reports sits past 1M summands, so even the
   // scaled default sweeps to the paper's full 16M.
@@ -162,4 +159,12 @@ int main(int argc, char** argv) {
                 static_cast<long long>(ns.back()));
   }
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"nmax", "trials", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

@@ -60,13 +60,7 @@ std::vector<backends::ScalingPoint> sweep(const std::vector<double>& xs,
   return points;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv,
-                        {"n", "trials", "seed", "maxp", "csv",
-                         bench::kMetricsFlag, bench::kFlightFlag,
-                         bench::kPulseFlag, bench::kPulseIntervalFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   if (!bench::arm_pulse(args)) return 1;
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
@@ -119,4 +113,13 @@ int main(int argc, char** argv) {
         return "yes";
       }());
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "trials", "seed", "maxp", "csv",
+                          bench::kMetricsFlag, bench::kFlightFlag,
+                          bench::kPulseFlag, bench::kPulseIntervalFlag}, run);
 }

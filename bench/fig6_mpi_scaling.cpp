@@ -154,14 +154,7 @@ struct Row {
   Point b;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv,
-                        {"n", "maxp", "seed", "algo", "wire", "mode", "dist",
-                         "csv", "json", bench::kMetricsFlag,
-                         bench::kFlightFlag, bench::kPulseFlag,
-                         bench::kPulseIntervalFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   if (!bench::arm_pulse(args)) return 1;
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
@@ -312,4 +305,14 @@ int main(int argc, char** argv) {
   if (!record.write(args)) return 1;
   if (!hp_invariant) return 1;
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "maxp", "seed", "algo", "wire", "mode", "dist",
+                          "csv", "json", bench::kMetricsFlag,
+                          bench::kFlightFlag, bench::kPulseFlag,
+                          bench::kPulseIntervalFlag}, run);
 }

@@ -97,10 +97,7 @@ Point run_hallberg(cudasim::Device& dev, const double* data, std::size_t n,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"n", "seed", "maxthreads", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 1024 * 1024, 32 * 1024 * 1024);
   const auto maxthreads = static_cast<int>(args.get_int("maxthreads", 32768));
@@ -147,4 +144,12 @@ int main(int argc, char** argv) {
               dev.transfer_seconds());
   dev.dfree(data);
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "seed", "maxthreads", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

@@ -19,9 +19,11 @@
 #include "util/table.hpp"
 #include "workload/workload.hpp"
 
-int main(int argc, char** argv) {
-  using namespace hpsum;
-  const util::Args args(argc, argv, {"n", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+namespace {
+
+using namespace hpsum;
+
+int run(const util::Args& args) {
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 2 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 8));
@@ -65,4 +67,12 @@ int main(int argc, char** argv) {
   std::printf("HP sum bit-identical across all thread counts: %s\n",
               hp_invariant ? "yes" : "NO");
   return bench::finish(args);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"n", "seed", "csv", bench::kMetricsFlag,
+                          bench::kFlightFlag}, run);
 }

@@ -8,11 +8,15 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common.hpp"
 #include "core/hp_config.hpp"
 #include "util/table.hpp"
 
-int main() {
-  using namespace hpsum;
+namespace {
+
+using namespace hpsum;
+
+int run(const util::Args& /*args*/) {
   std::printf("=== Table 1: HP method range and resolution ===\n\n");
   util::TablePrinter table({"N", "k", "Bits", "Max Range", "Smallest"});
   for (const HpConfig cfg :
@@ -34,4 +38,10 @@ int main() {
       "                 (6,3) ±3.138551e57 / 1.593092e-58\n"
       "                 (8,4) ±5.789604e76 / 8.636169e-78\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, {}, run);
 }

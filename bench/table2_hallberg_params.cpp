@@ -5,11 +5,15 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common.hpp"
 #include "hallberg/hallberg.hpp"
 #include "util/table.hpp"
 
-int main() {
-  using namespace hpsum;
+namespace {
+
+using namespace hpsum;
+
+int run(const util::Args& /*args*/) {
   std::printf("=== Table 2: Hallberg parameters for ~512-bit precision ===\n\n");
   util::TablePrinter table(
       {"N", "M", "Precision Bits", "Maximum Summands", "Storage Bits"});
@@ -32,4 +36,10 @@ int main() {
       "HP comparator: N=8, k=4 => 511 precision bits in 512 storage bits,\n"
       "no summand-count limit — the storage/overhead contrast of §II.B.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, {}, run);
 }

@@ -3,11 +3,10 @@
 // Long simulations checkpoint running sums. A checkpoint that stores the
 // accumulator as a double throws away everything below the 53rd bit, so
 // the restarted run silently diverges from the uninterrupted one. The
-// engine's sharded sinks checkpoint losslessly: checkpoint() frames the
-// retired total plus every live shard over the canonical docs/FORMAT.md
-// serialization (magic + format + sticky status + limbs per frame), and
-// restore() redistributes the frames over however many shards the
-// restarted run has. Because HP addition is exact, regrouping the
+// engine's sharded sinks checkpoint losslessly: checkpoint() frames
+// every lane over the canonical docs/FORMAT.md serialization (magic +
+// format + sticky status + limbs per frame), and restore() redistributes
+// the frames over however many shards the restarted run has. Because HP addition is exact, regrouping the
 // partials is bit-invisible — a run checkpointed on 3 worker threads and
 // restarted on 8 (or 1) finishes bit-identical, limbs AND status, to the
 // run that never stopped. A double-valued checkpoint, restarted the same
@@ -64,9 +63,9 @@ int main() {
               "(per-shard frames: format + status + limbs)\n\n",
               ckpt.size());
 
-  // Restart on a DIFFERENT shard count: restore() deals the 4 frames
-  // (retired total + 3 shards) round-robin over 8 lanes, then the second
-  // half of the stream lands on all 8.
+  // Restart on a DIFFERENT shard count: restore() deals the 3 frames
+  // (one per shard) round-robin over 8 lanes, then the second half of the
+  // stream lands on all 8.
   engine::ShardSet<engine::DynSum> wide(8, engine::DynSum(cfg));
   wide.restore(ckpt);
   deposit_partitioned(wide, second);

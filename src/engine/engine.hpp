@@ -11,22 +11,26 @@
 // produce the same limbs and the same sticky status as the sequential
 // reference. ShardSet<Acc> owns that pattern once:
 //
-//   - thread-affine shards: each depositor writes its own cache-line-
-//     padded slot; no locks, no contention on the deposit path.
+//   - fixed thread-affine lanes: the lane list is built once at
+//     construction and never changes; each depositor writes its own
+//     cache-line-padded slot. No locks anywhere, no contention on the
+//     deposit path.
 //   - epoch-based snapshot(): depositors publish their partial behind a
 //     per-shard seqlock (odd epoch = write in flight). A reader copies the
 //     published words, re-checks the epoch, and retries torn shards — the
 //     same tear-free discipline as trace::snapshot(), generalized from one
 //     64-bit word to a whole limb image.
-//   - drain()/reset() lifecycle for the classic join-then-merge drivers
-//     (backends::run_threads / run_openmp, rblas::sum_parallel). Code
-//     with one depositor and no concurrent reader — a sequential reduce,
-//     the mpisim per-rank local phase, the cudasim host fold — calls the
-//     accumulator directly instead.
-//   - checkpoint()/restore() over the pinned docs/FORMAT.md canonical
-//     serialization with per-shard framing, so a checkpoint taken on S
-//     shards restores onto any shard count (frames are redistributed
-//     round-robin; exactness makes the regrouping bit-invisible).
+//   - drain() for the classic join-then-merge drivers
+//     (backends::run_threads / run_openmp, rblas::sum_parallel): merge
+//     every lane and reset the set for reuse. Code with one depositor and
+//     no concurrent reader — a sequential reduce, the mpisim per-rank
+//     local phase, the cudasim host fold — calls the accumulator directly
+//     instead.
+//   - checkpoint()/restore() of runtime-format (DynSum) sets over the
+//     pinned docs/FORMAT.md canonical serialization, one frame per lane,
+//     so a checkpoint taken on S lanes restores onto any lane count
+//     (frames are redistributed round-robin; exactness makes the
+//     regrouping bit-invisible).
 //
 // Memory-model notes (the part TSan cares about):
 //   Writer (publish):  epoch.store(e+1, relaxed); fence(release);
@@ -37,7 +41,10 @@
 //   The release fence pairs with the reader's acquire fence through any
 //   word the reader observed, so a reader that saw mid-write data cannot
 //   also see a stale even epoch. All shared state is atomic; the working
-//   accumulator itself is written only by the owning depositor thread.
+//   accumulator itself is written only by the owning depositor thread (or
+//   by drain()/restore() once writers are quiesced). The lane list is
+//   immutable after construction, so the seqlock is the engine's only
+//   synchronisation: readers never take a lock.
 //
 //   TSan builds express the same edges per word instead: GCC's TSan does
 //   not model atomic_thread_fence (-Wtsan, promoted by -Werror), so the
@@ -54,13 +61,13 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -120,11 +127,9 @@ struct DynSum {
   explicit DynSum(HpConfig cfg) : hp(cfg) {}
   void accumulate(double x) noexcept { hp += x; }
   void accumulate(std::span<const double> xs) noexcept { hp.accumulate(xs); }
-  /// Same-format merge. Every ShardSet slot, the retired total and every
-  /// snapshot/drain total start as copies of one prototype, so the two
-  /// formats always match; unlike HpDyn's checked +=, this cannot throw,
-  /// which ShardSet::retire (noexcept, run from a Handle destructor)
-  /// relies on. A direct caller that mixes formats would read past the
+  /// Same-format merge. Every ShardSet slot and every snapshot/drain
+  /// total start as copies of one prototype, so the two formats always
+  /// match. A direct caller that mixes formats would read past the
   /// shorter limb array or add misaligned limbs, so a mismatch stops the
   /// program in every build.
   void merge(const DynSum& o) noexcept {
@@ -139,53 +144,6 @@ struct DynSum {
   [[nodiscard]] static std::string name() { return "HP(dyn)"; }
 };
 
-/// Accumulators whose state is an HP value (limbs + sticky status). These
-/// are the ones checkpoint()/restore() can frame over the canonical
-/// docs/FORMAT.md serialization: backends::HpSum<N,K> (HpFixed) and
-/// DynSum (HpDyn) both qualify; DoubleSum/HallbergSum do not.
-template <class A>
-concept HpBacked = requires(const A a) {
-  { a.hp.config() };
-  { a.hp.status() };
-  a.hp.limbs();
-};
-
-/// Extracts a shard partial as a self-describing HpDyn (limbs + status).
-template <HpBacked A>
-[[nodiscard]] HpDyn to_dyn(const A& a) {
-  const HpConfig cfg = a.hp.config();
-  HpDyn out(cfg);
-  const auto src = a.hp.limbs();
-  auto dst = out.limbs();
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = src[i];
-  out.or_status(a.hp.status());
-  return out;
-}
-
-/// Merges a checkpoint frame back into an accumulator. Throws
-/// std::invalid_argument when the frame's format does not match the
-/// accumulator's — restore never silently reinterprets limbs.
-template <HpBacked A>
-void add_dyn(A& a, const HpDyn& v) {
-  using Hp = std::remove_cvref_t<decltype(std::declval<A&>().hp)>;
-  if constexpr (std::is_same_v<Hp, HpDyn>) {
-    a.hp += v;  // HpDyn::operator+= validates the format itself
-  } else {
-    if (v.config() != a.hp.config()) {
-      throw std::invalid_argument("engine: checkpoint frame format " +
-                                  std::to_string(v.config().n) + "/" +
-                                  std::to_string(v.config().k) +
-                                  " does not match shard format");
-    }
-    Hp tmp;
-    auto& dst = tmp.limbs();
-    const auto src = v.limbs();
-    for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i];
-    tmp.or_status(v.status());
-    a.hp += tmp;
-  }
-}
-
 /// Fixed-width publication codec: how a shard's working accumulator is
 /// staged into the seqlock-protected word array. The default covers every
 /// trivially copyable accumulator (DoubleSum, HpSum, HallbergSum) by
@@ -198,7 +156,7 @@ struct ShardCodec {
                 "specialization (see ShardCodec<DynSum>)");
   static_assert((sizeof(Acc) + 7) / 8 <=
                     static_cast<std::size_t>(kMaxLimbs) + 1,
-                "Shard::publish stages the image in kMaxLimbs + 1 words");
+                "ShardSet stages each image in kMaxLimbs + 1 words");
 
   [[nodiscard]] static std::size_t words(const Acc& /*proto*/) noexcept {
     return (sizeof(Acc) + 7) / 8;
@@ -265,24 +223,19 @@ inline constexpr std::size_t kShardAlign = 64;
 
 /// A sharded deposit sink over any backends::accumulators-shaped Acc.
 ///
-/// Construction pre-registers `lanes` permanent shards (the classic
-/// driver shape: lane t belongs to PE t). register_shard() adds dynamic
-/// shards at runtime; retiring the returned Handle folds that shard's
-/// partial into a retired total that every later snapshot still includes
-/// (the trace-registry lifecycle, applied to values).
+/// Construction builds `lanes` shards (the classic driver shape: lane t
+/// belongs to PE t); the lane list never changes afterwards.
 ///
 /// Thread contract:
 ///   - shard(i) deposits: exclusively the lane's owning thread.
 ///   - snapshot()/checkpoint(): any thread, any time, writers running.
-///   - drain()/reset()/restore(): writers quiesced (joined or otherwise
-///     happens-before ordered), exactly like trace::reset().
+///   - drain()/restore(): writers quiesced (joined or otherwise
+///     happens-before ordered), exactly like trace::reset(). A reader
+///     running alongside sees each lane before or after the call, lane
+///     by lane, as it does with depositors running.
 template <class Acc>
 class ShardSet {
   using Codec = ShardCodec<Acc>;
-  static_assert(
-      noexcept(std::declval<Acc&>().merge(std::declval<const Acc&>())),
-      "retire() merges from a Handle destructor: Acc::merge must be "
-      "noexcept");
 
   struct alignas(kShardAlign) Slot {
     explicit Slot(const Acc& proto, std::size_t nwords)
@@ -300,8 +253,8 @@ class ShardSet {
   };
 
  public:
-  /// A depositor's view of one shard. Cheap to copy; valid as long as the
-  /// owning ShardSet (or, for dynamic shards, the Handle) is alive.
+  /// A depositor's view of one lane. Cheap to copy; valid as long as the
+  /// owning ShardSet is alive.
   class Shard {
    public:
     /// Deposits one value and publishes. Per-call publication is what
@@ -318,7 +271,6 @@ class ShardSet {
     }
    private:
     friend class ShardSet;
-    friend class Handle;  // friendship does not reach nested classes
     Shard(Slot* slot, std::size_t words) : slot_(slot), words_(words) {}
 
     void publish() noexcept { ShardSet::publish(*slot_, words_); }
@@ -327,96 +279,49 @@ class ShardSet {
     std::size_t words_;
   };
 
-  /// RAII registration of a dynamic shard; destruction retires it (folds
-  /// the partial into the set's retired total under the registry lock).
-  class Handle {
-   public:
-    Handle(Handle&& o) noexcept
-        : set_(std::exchange(o.set_, nullptr)),
-          slot_(std::exchange(o.slot_, nullptr)) {}
-    Handle& operator=(Handle&& o) noexcept {
-      if (this != &o) {
-        release();
-        set_ = std::exchange(o.set_, nullptr);
-        slot_ = std::exchange(o.slot_, nullptr);
-      }
-      return *this;
-    }
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
-    ~Handle() { release(); }
-
-    [[nodiscard]] Shard shard() const noexcept {
-      return Shard(slot_, set_->words_per_shard_);
-    }
-
-   private:
-    friend class ShardSet;
-    Handle(ShardSet* set, Slot* slot) : set_(set), slot_(slot) {}
-    void release() noexcept {
-      if (set_ != nullptr) set_->retire(slot_);
-      set_ = nullptr;
-      slot_ = nullptr;
-    }
-
-    ShardSet* set_ = nullptr;
-    Slot* slot_ = nullptr;
-  };
-
-  /// Creates the set with `lanes` permanent shards, each starting as a
-  /// copy of `proto` (the zero value; DynSum protos carry the runtime
-  /// format, e.g. `ShardSet<DynSum>(p, DynSum(cfg))`).
+  /// Creates the set with `lanes` shards, each starting as a copy of
+  /// `proto` (the zero value; DynSum protos carry the runtime format,
+  /// e.g. `ShardSet<DynSum>(p, DynSum(cfg))`).
   explicit ShardSet(std::size_t lanes, Acc proto = Acc())
-      : proto_(std::move(proto)),
-        retired_(proto_),
-        words_per_shard_(Codec::words(proto_)) {
+      : proto_(std::move(proto)), words_per_shard_(Codec::words(proto_)) {
     if (lanes == 0) {
       throw std::invalid_argument("engine: ShardSet needs >= 1 lane");
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < lanes; ++i) add_slot_locked();
-    lanes_ = lanes;
+    slots_.reserve(lanes);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      slots_.push_back(std::make_unique<Slot>(proto_, words_per_shard_));
+      publish(*slots_.back(), words_per_shard_);
+    }
   }
 
   ShardSet(const ShardSet&) = delete;
   ShardSet& operator=(const ShardSet&) = delete;
 
-  /// Permanent lane count (dynamic shards come and go on top of these).
-  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
+  /// Lane count, fixed at construction.
+  [[nodiscard]] std::size_t lanes() const noexcept { return slots_.size(); }
 
-  /// Depositor view of permanent lane `i` — each lane must be driven by
-  /// at most one thread at a time.
+  /// Depositor view of lane `i` — each lane must be driven by at most one
+  /// thread at a time.
   [[nodiscard]] Shard shard(std::size_t i) {
-    if (i >= lanes_) throw std::out_of_range("engine: lane out of range");
+    if (i >= slots_.size()) {
+      throw std::out_of_range("engine: lane out of range");
+    }
     return Shard(slots_[i].get(), words_per_shard_);
   }
 
-  /// Adds a dynamic shard. Thread-safe; the depositing thread should keep
-  /// the Handle for its lifetime and drop it to retire.
-  [[nodiscard]] Handle register_shard() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Slot* slot = add_slot_locked();
-    return Handle(this, slot);
-  }
-
-  /// Bit-exact merged total while depositors keep running. Merge order is
-  /// retired total first (skipped while nothing retired), then live
-  /// shards in registration order — for the join-then-merge drivers this
-  /// reproduces the historical `for (t) total.merge(partials[t])` loop
-  /// exactly, so limbs and status are bit-identical to the direct path.
+  /// Bit-exact merged total while depositors keep running. Lanes merge in
+  /// index order — for the join-then-merge drivers this reproduces the
+  /// historical `for (t) total.merge(partials[t])` loop exactly, so limbs
+  /// and status are bit-identical to the direct path.
   [[nodiscard]] Acc snapshot() const {
     Acc total = proto_;
+    Acc tmp = proto_;
     std::uint64_t retries = 0;
-    std::vector<std::uint64_t> buf(words_per_shard_);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (has_retired_) total.merge(retired_);
-      Acc tmp = proto_;
-      for (const auto& slot : slots_) {
-        collect(*slot, buf.data(), retries);
-        Codec::load(tmp, buf.data());
-        total.merge(tmp);
-      }
+    std::uint64_t buf[kMaxLimbs + 1] = {};  // every codec image fits
+    for (const auto& slot : slots_) {
+      collect(*slot, buf, retries);
+      Codec::load(tmp, buf);
+      total.merge(tmp);
     }
     trace::count(trace::Counter::kEngineSnapshots);
     trace::count(trace::Counter::kEngineSnapshotRetries, retries);
@@ -429,39 +334,29 @@ class ShardSet {
   /// literally the partials the depositor threads produced.
   [[nodiscard]] Acc drain() {
     Acc total = proto_;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (has_retired_) total.merge(retired_);
-    for (const auto& slot : slots_) total.merge(slot->acc);
-    reset_locked();
+    for (const auto& slot : slots_) {
+      total.merge(slot->acc);
+      slot->acc = proto_;
+      publish(*slot, words_per_shard_);
+    }
     return total;
   }
 
-  /// Clears every live shard and the retired total back to the prototype
-  /// zero. Writers must be quiesced.
-  void reset() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    reset_locked();
-  }
-
-  /// Serializes the retired total plus every live shard as one canonical
-  /// frame each (docs/FORMAT.md §engine checkpoint). Safe while
-  /// depositors run — shard images are collected through the seqlock.
+  /// Serializes every lane as one canonical frame (docs/FORMAT.md §engine
+  /// checkpoint). Safe while depositors run — lane images are collected
+  /// through the seqlock.
   [[nodiscard]] std::vector<std::byte> checkpoint() const
-    requires HpBacked<Acc>
+    requires std::same_as<Acc, DynSum>
   {
     std::vector<HpDyn> frames;
+    frames.reserve(slots_.size());
+    DynSum tmp = proto_;
     std::uint64_t retries = 0;
-    std::vector<std::uint64_t> buf(words_per_shard_);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      frames.reserve(slots_.size() + 1);
-      frames.push_back(to_dyn(retired_));
-      Acc tmp = proto_;
-      for (const auto& slot : slots_) {
-        collect(*slot, buf.data(), retries);
-        Codec::load(tmp, buf.data());
-        frames.push_back(to_dyn(tmp));
-      }
+    std::uint64_t buf[kMaxLimbs + 1] = {};  // every codec image fits
+    for (const auto& slot : slots_) {
+      collect(*slot, buf, retries);
+      Codec::load(tmp, buf);
+      frames.push_back(tmp.hp);
     }
     trace::count(trace::Counter::kEngineSnapshots);
     trace::count(trace::Counter::kEngineSnapshotRetries, retries);
@@ -469,46 +364,34 @@ class ShardSet {
   }
 
   /// Merges a checkpoint into this set, redistributing frames across the
-  /// permanent lanes round-robin — a checkpoint taken on any shard count
-  /// restores onto any other, and exactness makes the regrouping
-  /// invisible in the final total. Writers must be quiesced; call on a
-  /// freshly constructed (or reset) set for an exact resume. Throws
-  /// std::invalid_argument on malformed bytes or format mismatch.
+  /// lanes round-robin — a checkpoint taken on any lane count restores
+  /// onto any other, and exactness makes the regrouping invisible in the
+  /// final total. Writers must be quiesced; call on a freshly constructed
+  /// (or drained) set for an exact resume. All or nothing: throws
+  /// std::invalid_argument on malformed bytes or a frame whose format
+  /// differs from the set's, before any frame is merged.
   void restore(std::span<const std::byte> bytes)
-    requires HpBacked<Acc>
+    requires std::same_as<Acc, DynSum>
   {
     const std::vector<HpDyn> frames = unframe_checkpoint(bytes);
-    std::lock_guard<std::mutex> lock(mutex_);
+    const HpConfig cfg = proto_.hp.config();
+    for (const HpDyn& f : frames) {
+      if (f.config() != cfg) {
+        throw std::invalid_argument(
+            "engine: checkpoint frame format " + std::to_string(f.config().n) +
+            "/" + std::to_string(f.config().k) +
+            " does not match shard format " + std::to_string(cfg.n) + "/" +
+            std::to_string(cfg.k));
+      }
+    }
     for (std::size_t j = 0; j < frames.size(); ++j) {
-      Slot& slot = *slots_[j % lanes_];
-      add_dyn(slot.acc, frames[j]);
+      Slot& slot = *slots_[j % slots_.size()];
+      slot.acc.hp += frames[j];
       publish(slot, words_per_shard_);
     }
   }
 
  private:
-  Slot* add_slot_locked() {
-    slots_.push_back(std::make_unique<Slot>(proto_, words_per_shard_));
-    Slot& slot = *slots_.back();
-    publish(slot, words_per_shard_);
-    return &slot;
-  }
-
-  /// Folds a dynamic shard's partial into the retired total and drops the
-  /// slot. Runs on the depositor thread (Handle destruction), so reading
-  /// `acc` directly is single-owner.
-  void retire(Slot* slot) noexcept {
-    std::lock_guard<std::mutex> lock(mutex_);
-    retired_.merge(slot->acc);
-    has_retired_ = true;
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (it->get() == slot) {
-        slots_.erase(it);
-        break;
-      }
-    }
-  }
-
   /// Seqlock collect of one slot's published words into `buf`.
   void collect(const Slot& slot, std::uint64_t* buf,
                std::uint64_t& retries) const noexcept {
@@ -529,8 +412,8 @@ class ShardSet {
   }
 
   /// Rewrites a slot's published image from its working accumulator: the
-  /// seqlock writer. Runs on the slot's depositor thread, or under the
-  /// registry mutex with writers quiesced (or the slot not yet visible).
+  /// seqlock writer. Runs on the slot's depositor thread, or with writers
+  /// quiesced (construction, drain, restore).
   static void publish(Slot& slot, std::size_t nwords) noexcept {
     const std::uint64_t e = slot.epoch.load(std::memory_order_relaxed);
     slot.epoch.store(e + 1, std::memory_order_relaxed);
@@ -546,21 +429,8 @@ class ShardSet {
     slot.epoch.store(e + 2, std::memory_order_release);
   }
 
-  void reset_locked() noexcept {
-    for (const auto& slot : slots_) {
-      slot->acc = proto_;
-      publish(*slot, words_per_shard_);
-    }
-    retired_ = proto_;
-    has_retired_ = false;
-  }
-
   Acc proto_;
-  Acc retired_;
-  bool has_retired_ = false;
   std::size_t words_per_shard_;
-  std::size_t lanes_ = 0;
-  mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Slot>> slots_;
 };
 

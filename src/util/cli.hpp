@@ -21,11 +21,13 @@ class Args {
   Args(int argc, char** argv, std::vector<std::string> known);
 
   /// Integer flag with default. Accepts size suffixes k/K, m/M, g/G
-  /// (binary: 1k = 1024).
+  /// (binary: 1k = 1024). A value that is not wholly a number (e.g.
+  /// "1e6", "12x") or overflows int64 throws std::invalid_argument naming
+  /// the flag.
   [[nodiscard]] std::int64_t get_int(std::string_view name,
                                      std::int64_t fallback) const;
 
-  /// Floating-point flag with default.
+  /// Floating-point flag with default; a bad value throws like get_int.
   [[nodiscard]] double get_double(std::string_view name, double fallback) const;
 
   /// String flag with default.

@@ -54,6 +54,26 @@ TEST(Cli, UnknownFlagThrows) {
   EXPECT_THROW(parse({"--typo=3"}, {"n"}), std::invalid_argument);
 }
 
+TEST(Cli, BadValueNamesTheFlag) {
+  const Args args = parse({"--n=abc", "--x=1e999999"}, {"n", "x"});
+  try {
+    (void)args.get_int("n", 0);
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "bad value for --n: abc");
+  }
+  EXPECT_THROW((void)args.get_double("x", 0), std::invalid_argument);
+  // Trailing text is an error, not dropped: "1e6" must not read as 1.
+  for (const char* bad : {"--n=1e6", "--n=12x", "--n=", "--n=9000000000g"}) {
+    EXPECT_THROW((void)parse({bad}, {"n"}).get_int("n", 0),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW((void)parse({"--x=0.5s"}, {"x"}).get_double("x", 0),
+               std::invalid_argument);
+  EXPECT_EQ(parse({"--n=-3k"}, {"n"}).get_int("n", 0), -3072);
+}
+
 TEST(Cli, NonFlagArgumentThrows) {
   EXPECT_THROW(parse({"positional"}, {"n"}), std::invalid_argument);
 }

@@ -14,8 +14,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "backends/accumulators.hpp"
@@ -29,12 +29,6 @@ namespace {
 using namespace hpsum;
 using engine::DynSum;
 using engine::ShardSet;
-
-// ShardSet::retire() is noexcept and merges a retiring shard from a Handle
-// destructor, so DynSum::merge must not throw (ShardSet static_asserts
-// the same of every Acc).
-static_assert(
-    noexcept(std::declval<DynSum&>().merge(std::declval<const DynSum&>())));
 
 std::vector<double> mixed_stream(std::size_t n, std::uint64_t seed) {
   util::Xoshiro256ss rng(seed);
@@ -95,6 +89,19 @@ TEST(Engine, TriviallyCopyableCodecRoundTripsThroughSnapshot) {
   sink.shard(1).deposit(2.5);
   const backends::DoubleSum snap = sink.snapshot();
   EXPECT_EQ(snap.result(), std::ldexp(1.0, -30) + 2.5);
+
+  // So does a fixed-format HP lane: limbs and status through the codec.
+  auto xs = mixed_stream(6'000, 21);
+  xs[7] = std::ldexp(1.0, -250);  // raises kInexact in HP(6,3)
+  ShardSet<backends::HpSum<6, 3>> hp_sink(2);
+  const auto slices = backends::partition(xs, 2);
+  hp_sink.shard(0).deposit(slices[0]);
+  hp_sink.shard(1).deposit(slices[1]);
+  const auto hp_snap = hp_sink.snapshot();
+  const auto reference = reduce_hp<6, 3>(xs);
+  ASSERT_TRUE(has(reference.status(), HpStatus::kInexact));
+  EXPECT_EQ(hp_snap.hp, reference);
+  EXPECT_EQ(hp_snap.hp.status(), reference.status());
 }
 
 TEST(Engine, SnapshotsEqualPrefixOracleUnderLoad) {
@@ -153,31 +160,6 @@ TEST(Engine, SnapshotsEqualPrefixOracleUnderLoad) {
   EXPECT_GE(snapshots_taken.load(), kReaders);
   const DynSum final_snap = sink.snapshot();
   EXPECT_EQ(final_snap.hp, prefix[kTotal]);
-}
-
-TEST(Engine, RetiredShardsStayInTheTotal) {
-  const HpConfig cfg{6, 3};
-  const auto xs = mixed_stream(9'000, 99);
-  const HpDyn reference = reduce_hp(xs, cfg);
-
-  // One permanent lane plus three dynamic shards that register, deposit a
-  // slice, and retire — their partials must persist in every later
-  // snapshot via the retired total.
-  ShardSet<DynSum> sink(1, DynSum(cfg));
-  const auto slices = backends::partition(xs, 4);
-  {
-    std::vector<std::jthread> threads;
-    for (std::size_t t = 0; t < 3; ++t) {
-      threads.emplace_back([&, t] {
-        auto handle = sink.register_shard();
-        handle.shard().deposit(slices[t + 1]);
-      });  // handle retires here, on the depositor thread
-    }
-  }
-  sink.shard(0).deposit(slices[0]);
-  const DynSum snap = sink.snapshot();
-  EXPECT_EQ(snap.hp, reference);
-  EXPECT_EQ(snap.hp.status(), reference.status());
 }
 
 TEST(Engine, DynSumMergeMatchesTheCheckedAdd) {
@@ -245,25 +227,6 @@ TEST(Engine, CheckpointRestoresAcrossDifferentShardCounts) {
   EXPECT_EQ(total.hp.status(), uninterrupted.status());
 }
 
-TEST(Engine, FixedFormatAccumulatorsCheckpointToo) {
-  const auto xs = mixed_stream(6'000, 21);
-  ShardSet<backends::HpSum<6, 3>> source(2);
-  const auto slices = backends::partition(xs, 2);
-  source.shard(0).deposit(slices[0]);
-  source.shard(1).deposit(slices[1]);
-  const auto ckpt = source.checkpoint();
-
-  ShardSet<backends::HpSum<6, 3>> restored(3);
-  restored.restore(ckpt);
-  const HpDyn reference = reduce_hp(xs, HpConfig{6, 3});
-  const auto snap = restored.snapshot();
-  EXPECT_EQ(engine::to_dyn(snap), reference);
-
-  // A set with a different compile-time format must refuse the frames.
-  ShardSet<backends::HpSum<4, 2>> wrong(2);
-  EXPECT_THROW(wrong.restore(ckpt), std::invalid_argument);
-}
-
 TEST(Engine, MalformedCheckpointsAreRejected) {
   const HpConfig cfg{6, 3};
   ShardSet<DynSum> sink(2, DynSum(cfg));
@@ -296,6 +259,70 @@ TEST(Engine, MalformedCheckpointsAreRejected) {
   EXPECT_THROW(narrow.restore(ckpt), std::invalid_argument);
 }
 
+TEST(Engine, CheckpointIsOneFramePerLane) {
+  // 8-byte header + per lane a 4-byte size and a 56-byte HP(6,3) image.
+  const HpConfig cfg{6, 3};
+  ShardSet<DynSum> sink(2, DynSum(cfg));
+  sink.shard(0).deposit(1.5);
+  sink.shard(1).deposit(-0.25);
+  const auto ckpt = sink.checkpoint();
+  EXPECT_EQ(ckpt.size(), 128u);
+  const auto frames = engine::unframe_checkpoint(ckpt);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].to_double(), 1.5);
+  EXPECT_EQ(frames[1].to_double(), -0.25);
+}
+
+TEST(Engine, RestoreIsAllOrNothing) {
+  // A well-formed checkpoint whose second frame has another format: the
+  // throw must leave the set as it was, first frame included.
+  const HpConfig cfg{6, 3};
+  const auto ckpt = engine::frame_checkpoint(
+      {HpDyn(cfg, 1.5), HpDyn(HpConfig{4, 2}, 2.0)});
+  ShardSet<DynSum> sink(2, DynSum(cfg));
+  EXPECT_THROW(sink.restore(ckpt), std::invalid_argument);
+  const DynSum snap = sink.snapshot();
+  EXPECT_EQ(snap.hp, HpDyn(cfg));
+  EXPECT_EQ(snap.hp.status(), HpStatus::kOk);
+  EXPECT_EQ(sink.drain().result(), 0.0);
+}
+
+TEST(Engine, CheckpointsWithALeadingTotalFrameStillRestore) {
+  // Earlier HE v1 checkpoints carried one extra frame ahead of the lanes
+  // (a total of shards that had left the set, zero when none had). The
+  // frame list has no shard semantics, so both forms restore exactly.
+  const HpConfig cfg{6, 3};
+  auto xs = mixed_stream(9'000, 5);
+  xs[10] = std::ldexp(1.0, -250);  // raises kInexact in the leading frame
+  const auto slices = backends::partition(xs, 3);
+  const HpDyn lead = reduce_hp(slices[0], cfg);
+  const HpDyn p0 = reduce_hp(slices[1], cfg);
+  const HpDyn p1 = reduce_hp(slices[2], cfg);
+  ASSERT_TRUE(has(lead.status(), HpStatus::kInexact));
+
+  const auto restore_total = [&](const std::vector<std::byte>& bytes) {
+    ShardSet<DynSum> sink(2, DynSum(cfg));
+    sink.restore(bytes);
+    return sink.snapshot().hp;
+  };
+
+  const HpDyn lanes_only = restore_total(engine::frame_checkpoint({p0, p1}));
+  const HpDyn zero_lead =
+      restore_total(engine::frame_checkpoint({HpDyn(cfg), p0, p1}));
+  EXPECT_EQ(zero_lead, lanes_only);
+  EXPECT_EQ(zero_lead.status(), lanes_only.status());
+
+  const HpDyn reference = reduce_hp(xs, cfg);
+  const HpDyn with_lead =
+      restore_total(engine::frame_checkpoint({lead, p0, p1}));
+  EXPECT_EQ(with_lead, reference);
+  EXPECT_EQ(with_lead.status(), reference.status());
+  const HpDyn lead_last =
+      restore_total(engine::frame_checkpoint({p0, p1, lead}));
+  EXPECT_EQ(with_lead, lead_last);
+  EXPECT_EQ(with_lead.status(), lead_last.status());
+}
+
 TEST(Engine, HugeFrameCountIsRejectedBeforeAllocating) {
   // A bare header claiming 0xFFFFFFFF frames: the count must be checked
   // against the input, not handed to reserve() (which threw bad_alloc).
@@ -320,7 +347,7 @@ TEST(Engine, DrainResetsForReuse) {
   EXPECT_EQ(sink.drain().result(), 5.0);
 
   sink.shard(1).deposit(7.0);
-  sink.reset();
+  EXPECT_EQ(sink.drain().result(), 7.0);
   EXPECT_EQ(sink.snapshot().result(), 0.0);
 }
 
@@ -348,19 +375,23 @@ TEST(Engine, FramingRoundTripsAndCountsAreExact) {
 
 TEST(Engine, TraceCountersTrackLifecycle) {
   if (!trace::enabled()) GTEST_SKIP() << "trace compiled out";
+  const HpConfig cfg{4, 2};
   const auto before = trace::snapshot();
   {
-    ShardSet<backends::DoubleSum> sink(2);
+    ShardSet<DynSum> sink(2, DynSum(cfg));
     sink.shard(0).deposit(1.0);
-    auto handle = sink.register_shard();
-    handle.shard().deposit(2.0);
+    sink.shard(1).deposit(2.0);
     (void)sink.snapshot();
-  }  // handle retires before the set dies
-  const auto after = trace::snapshot();
-  const auto d = after.delta_since(before);
-  // One collect pass over the lanes and the live dynamic shard; shard
-  // registration and retirement are not snapshots.
-  EXPECT_EQ(d.value(trace::Counter::kEngineSnapshots), 1u);
+    const auto ckpt = sink.checkpoint();
+    ShardSet<DynSum> restored(3, DynSum(cfg));
+    restored.restore(ckpt);
+    EXPECT_EQ(restored.drain().result(), 3.0);
+    EXPECT_EQ(sink.drain().result(), 3.0);
+  }
+  const auto d = trace::snapshot().delta_since(before);
+  // One collect pass each for snapshot() and checkpoint(); construction,
+  // restore() and drain() are not snapshots.
+  EXPECT_EQ(d.value(trace::Counter::kEngineSnapshots), 2u);
 }
 
 TEST(Engine, DrainIsNotCountedAsSnapshot) {
