@@ -11,8 +11,8 @@
 //
 // Each method is timed on two paths: scalar (`acc += x` / `acc.add(x)`, the
 // paper's per-summand algorithms) and span (`acc.accumulate(xs)`: HP's
-// carry-deferred block path, Hallberg's integer-scatter deposit). Scalar
-// vs scalar is the paper's comparison; span vs span is best vs best.
+// carry-deferred block path, Hallberg's exponent-indexed chunk deposit).
+// Scalar vs scalar is the paper's comparison; span vs span is best vs best.
 //
 // Flags: --nmax (default 2M; paper 16M), --trials (default 3), --seed.
 #include <algorithm>

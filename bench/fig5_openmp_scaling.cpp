@@ -8,8 +8,8 @@
 // per-thread busy + merge; DESIGN.md §2) next to the raw measured
 // wallclock, which is real only up to the host's core count.
 //
-// Hallberg is timed on two paths: span (HallbergSum, the integer-scatter
-// deposit) and scalar (the paper's per-summand add() loop).
+// Hallberg is timed on two paths: span (HallbergSum, the exponent-indexed
+// chunk deposit) and scalar (the paper's per-summand add() loop).
 //
 // Flags: --n (default 4M; paper 32M), --trials (default 3), --seed,
 //        --maxp (default 8).

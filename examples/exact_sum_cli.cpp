@@ -23,13 +23,17 @@
 // thread takes live exact snapshots of the running total; the drained
 // result must be bit-identical (limbs + status) to the sequential sum.
 //
-// Exit status: 0 on success, 1 on parse failure, non-finite input, a
+// Exit status: 0 on success; 1 on unparsable input, non-finite input, a
 // failed --metrics/--flight/--health FILE write, or an engine-routed
-// total that is not bit-identical to the sequential reference.
+// total that is not bit-identical to the sequential reference; 2 on a
+// usage error (an unknown flag or a bad flag value), found before stdin
+// is read.
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,8 +50,63 @@
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 
+namespace {
+
+const std::vector<std::string> kFlags = {
+    "metrics", "flight", "pulse",         "pulse-interval-ms",
+    "health",  "shards", "snapshot-every"};
+
+/// Every flag, parsed and range-checked before stdin is read. The FILE
+/// flags hold "" when absent and "true" when given without a value.
+struct Options {
+  std::string metrics, flight, pulse, health;
+  std::int64_t pulse_interval_ms = 250;
+  std::size_t shards = 0;
+  std::size_t snapshot_every = 4096;
+};
+
+/// Throws std::invalid_argument naming the flag on any usage error.
+Options parse_options(int argc, char** argv) {
+  const hpsum::util::Args args(argc, argv, kFlags);
+  const auto at_least = [&](const char* name, std::int64_t fallback,
+                            std::int64_t min) {
+    const std::int64_t v = args.get_int(name, fallback);
+    if (v < min) {
+      throw std::invalid_argument("--" + std::string(name) + " must be >= " +
+                                  std::to_string(min) + ", got " +
+                                  std::to_string(v));
+    }
+    return v;
+  };
+  Options o;
+  o.metrics = args.get_string("metrics", "");
+  o.flight = args.get_string("flight", "");
+  o.pulse = args.get_string("pulse", "");
+  o.health = args.get_string("health", "");
+  o.pulse_interval_ms = at_least("pulse-interval-ms", 250, 1);
+  o.shards = static_cast<std::size_t>(at_least("shards", 0, 0));
+  o.snapshot_every =
+      static_cast<std::size_t>(at_least("snapshot-every", 4096, 1));
+  return o;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace hpsum;
+  Options opt;
+  try {
+    opt = parse_options(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "exact_sum_cli: %s\nusage: exact_sum_cli "
+                 "[--flag[=value]]... < numbers\nflags:", e.what());
+    for (const std::string& flag : kFlags) {
+      std::fprintf(stderr, " --%s", flag.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
+
   std::vector<double> xs;
   double v = 0;
   while (std::cin >> v) xs.push_back(v);
@@ -57,16 +116,11 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const util::Args args(argc, argv,
-                          {"metrics", "flight", "pulse", "pulse-interval-ms",
-                           "health", "shards", "snapshot-every"});
-    if (!args.get_string("flight", "").empty()) trace::flight::arm();
-    const std::string pulse = args.get_string("pulse", "");
-    if (!pulse.empty()) {
+    if (!opt.flight.empty()) trace::flight::arm();
+    if (!opt.pulse.empty()) {
       trace::pulse::Config pcfg;
-      if (pulse != "true") pcfg.jsonl_path = pulse;
-      const auto ms = args.get_int("pulse-interval-ms", 250);
-      pcfg.interval = std::chrono::milliseconds(ms > 0 ? ms : 250);
+      if (opt.pulse != "true") pcfg.jsonl_path = opt.pulse;
+      pcfg.interval = std::chrono::milliseconds(opt.pulse_interval_ms);
       if (!trace::pulse::arm(pcfg) && trace::enabled()) {
         std::fprintf(stderr,
                      "exact_sum_cli: could not start --pulse sampler on %s\n",
@@ -96,11 +150,9 @@ int main(int argc, char** argv) {
     std::printf("exact decimal    : %s\n", exact.to_decimal_string(60).c_str());
     std::printf("status           : %s\n", to_string(exact.status()).c_str());
 
-    const auto shards = static_cast<std::size_t>(args.get_int("shards", 0));
+    const std::size_t shards = opt.shards;
     if (shards > 0) {
-      const auto chunk_arg = args.get_int("snapshot-every", 4096);
-      const auto chunk =
-          chunk_arg > 0 ? static_cast<std::size_t>(chunk_arg) : 4096;
+      const std::size_t chunk = opt.snapshot_every;
       engine::ShardSet<engine::DynSum> sink(shards, engine::DynSum(cfg));
       std::atomic<bool> done{false};
       std::atomic<std::uint64_t> live_snaps{0};
@@ -159,7 +211,7 @@ int main(int argc, char** argv) {
     }
 
     trace::pulse::disarm();
-    const std::string health = args.get_string("health", "");
+    const std::string& health = opt.health;
     if (!health.empty()) {
       const std::string json = audit::health_report_json();
       if (health == "true") {
@@ -176,7 +228,7 @@ int main(int argc, char** argv) {
         std::fclose(f);
       }
     }
-    const std::string metrics = args.get_string("metrics", "");
+    const std::string& metrics = opt.metrics;
     if (!metrics.empty()) {
       const std::string path = metrics == "true" ? "" : metrics;
       if (!trace::write_json(path)) {
@@ -186,7 +238,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    const std::string flight = args.get_string("flight", "");
+    const std::string& flight = opt.flight;
     if (!flight.empty()) {
       const std::string path = flight == "true" ? "" : flight;
       if (!trace::flight::dump_chrome_json(path)) {

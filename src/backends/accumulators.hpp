@@ -13,7 +13,7 @@
 //
 // The span overload is semantically the element-at-a-time loop (for HP it
 // is the bit-identical carry-deferred block fast path, for Hallberg the
-// bit-identical integer-scatter deposit); the drivers hand
+// bit-identical exponent-indexed chunk deposit); the drivers hand
 // each PE's whole slice to it so every method accumulates through its best
 // available path.
 #pragma once

@@ -25,10 +25,15 @@
 //     second multiply + subtract removes it (detail::hallberg_accumulate).
 //     It is Fig 4's scalar column and the independent oracle the span path
 //     is tested against.
-//   - accumulate(span) is the integer-scatter span path
-//     (detail::hallberg_scatter): each mantissa goes straight into the
-//     1 + ceil(52/M) limbs it can touch with integer shifts and masks.
-//     docs/KERNELS.md ("Hallberg deposit") gives the exactness argument.
+//   - accumulate(span) is the span path. HallbergFixed with M >= 26
+//     (every summand touches at most 3 limbs) takes the exponent-indexed
+//     chunk deposit (detail::hallberg_chunk): per block of kChunkBlock
+//     summands, three 64-bit sums per sign + biased exponent, folded into
+//     the limbs once. Summands outside the exact window go through the
+//     integer scatter (detail::hallberg_scatter), which is also the path
+//     for M < 26 and for runtime Hallberg: each mantissa goes straight into
+//     the 1 + ceil(52/M) limbs it can touch with integer shifts and masks.
+//     docs/KERNELS.md ("Hallberg deposit") gives the exactness arguments.
 #pragma once
 
 #include <array>
@@ -71,8 +76,13 @@ inline bool hallberg_accumulate(double r, std::int64_t* a, int n,
   return true;
 }
 
-/// Most limbs one mantissa can touch: 1 + ceil(52/M), largest at M = 1.
-inline constexpr int kHallbergMaxSlices = 53;
+/// Limbs one 53-bit mantissa can touch: 1 + ceil(52/M).
+[[nodiscard]] constexpr int hallberg_slices(int m) noexcept {
+  return 1 + (52 + m - 1) / m;
+}
+
+/// Most limbs one mantissa can touch, at M = 1.
+inline constexpr int kHallbergMaxSlices = hallberg_slices(1);
 
 /// The integer-scatter span deposit: limbs AND the rejected count equal
 /// calling hallberg_accumulate on every element in order, but each 53-bit
@@ -89,7 +99,7 @@ inline std::size_t hallberg_scatter(std::span<const double> xs,
                                     std::int64_t* a, int n,
                                     int m) noexcept {
   const int half = n * m / 2;  // range_max = 2^half; limb 0 weighs 2^-half
-  const int slices = 1 + (52 + m - 1) / m;
+  const int slices = hallberg_slices(m);
   const std::uint64_t mask = (std::uint64_t{1} << m) - 1;
   std::int64_t work[kMaxLimbs + kHallbergMaxSlices] = {};
   for (int i = 0; i < n; ++i) work[i] = a[i];
@@ -123,6 +133,60 @@ inline std::size_t hallberg_scatter(std::span<const double> xs,
   for (int i = 0; i < n; ++i) a[i] = work[i];
   return rejected;
 }
+
+/// Per-format constants of the chunk deposit (hallberg_chunk), indexed by
+/// biased exponent be. A summand deposits exactly, untruncated and in
+/// range, iff be_lo <= be < be_end; its mantissa lsb then sits r = lsb % M
+/// bits into limb q = lsb / M, lsb = be - be_lo, and its three slices are
+///   limb q:    (m53 & lo[be]) << r,       lo[be] = 2^(M-r) - 1
+///   limb q+1:  (m53 >> (M-r)) & (2^M - 1)
+///   limb q+2:  m53 >> s2[be],             s2[be] = min(2M - r, 63)
+/// (2M - r >= 53 leaves nothing for limb q+2, as the 63 cap does). Entries
+/// outside the window hold lo = 0, s2 = 63: any shift stays defined, and
+/// the sums they feed are discarded.
+struct HallbergChunkTable {
+  int m = 0;
+  int be_lo = 0;
+  int be_end = 0;
+  std::array<std::uint64_t, 2048> lo{};
+  std::array<std::uint8_t, 2048> s2{};
+};
+
+[[nodiscard]] constexpr HallbergChunkTable hallberg_chunk_table(
+    int n, int m) noexcept {
+  HallbergChunkTable t;
+  t.m = m;
+  t.be_lo = 1075 - n * m / 2;  // lsb weight 2^-half: no bit truncates
+  t.be_end = 1023 + n * m / 2;  // |r| < 2^half, the add() range check
+  for (int be = 0; be < 2048; ++be) {
+    const bool in = be >= t.be_lo && be < t.be_end;
+    const int r = in ? (be - t.be_lo) % m : 0;
+    const auto i = static_cast<std::size_t>(be);
+    t.lo[i] = in ? (std::uint64_t{1} << (m - r)) - 1 : 0;
+    t.s2[i] = static_cast<std::uint8_t>(in && 2 * m - r < 63 ? 2 * m - r
+                                                              : 63);
+  }
+  return t;
+}
+
+/// The exponent-indexed chunk deposit (hallberg.cpp), for formats whose
+/// summands touch at most 3 limbs (hallberg_slices(t.m) <= 3): limbs AND
+/// the rejected count equal hallberg_scatter's, hence the add() loop's.
+/// Each block of up to kernel::kChunkBlock summands adds into a per-thread
+/// scratch, per sign + biased exponent (index bits >> 52), the three sums
+///   A += m53,   B += m53 & lo[be],   C += m53 >> s2[be]
+/// (prefetching kernel::kChunkPrefetch doubles ahead within the span).
+/// Then each key in [be_lo, be_end) folds once: +-(B << r) into limb q,
+/// +-(((A - B) >> (M - r)) - (C << M)) into limb q+1 and +-C into limb
+/// q+2. Limbs are modular sums of per-summand slices, so any grouping of
+/// the same slices gives the same limbs; A - B sums multiples of 2^(M-r),
+/// so its shift is the exact sum of m53 >> (M - r). A block holding
+/// summands outside the window (zero, subnormal, below the lsb, out of
+/// range, NaN, Inf) zeroes their entries, which were zero at block start,
+/// and deposits those summands through hallberg_scatter, which also
+/// counts the rejections. Returns how many values were rejected.
+std::size_t hallberg_chunk(std::span<const double> xs, std::int64_t* a,
+                           int n, const HallbergChunkTable& t) noexcept;
 
 /// Carry propagation to canonical form: every limb except the top lands in
 /// [0, 2^M); the top limb keeps the sign. Resolves aliasing.
@@ -203,11 +267,15 @@ class HallbergFixed {
                                        kWinv.data(), kRangeMax);
   }
 
-  /// Accumulates a block through the integer-scatter deposit: limbs
-  /// bit-identical to calling add() on each element in order. Returns how
-  /// many values add() would have rejected.
+  /// Accumulates a block through the chunk deposit (M >= 26) or the
+  /// integer scatter: limbs bit-identical to calling add() on each element
+  /// in order. Returns how many values add() would have rejected.
   std::size_t accumulate(std::span<const double> xs) noexcept {
-    return detail::hallberg_scatter(xs, a_.data(), N, M);
+    if constexpr (detail::hallberg_slices(M) <= 3) {
+      return detail::hallberg_chunk(xs, a_.data(), N, kChunkTable);
+    } else {
+      return detail::hallberg_scatter(xs, a_.data(), N, M);
+    }
   }
 
   /// Merges another partial sum (N integer adds).
@@ -247,6 +315,8 @@ class HallbergFixed {
     return out;
   }();
   static constexpr double kRangeMax = detail::pow2(N * M / 2);
+  static constexpr detail::HallbergChunkTable kChunkTable =
+      detail::hallberg_chunk_table(N, M);
 
   std::array<std::int64_t, N> a_{};
 };

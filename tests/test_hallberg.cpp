@@ -308,7 +308,8 @@ TEST(HallbergSpan, FixedMatchesAddLoop) {
   expect_fixed_span_matches_add<10, 38>(4);  // the benchmark format
   expect_fixed_span_matches_add<32, 1>(5);   // 53 slices per summand
   expect_fixed_span_matches_add<20, 13>(6);
-  expect_fixed_span_matches_add<12, 26>(7);  // M divides 52
+  expect_fixed_span_matches_add<12, 25>(10);  // 4 slices: still the scatter
+  expect_fixed_span_matches_add<12, 26>(7);  // M divides 52; 3 slices
   expect_fixed_span_matches_add<11, 27>(8);  // odd N*M
   expect_fixed_span_matches_add<30, 62>(9);  // widest payload, 1 safe add
 }
@@ -356,6 +357,43 @@ TEST(HallbergSpan, ChunkSplitsAreInvisible) {
   }
 }
 
+// --- The chunk deposit (M >= 26): blocks and the out-of-window scatter ---
+
+static_assert(detail::hallberg_slices(26) == 3 &&
+                  detail::hallberg_slices(25) == 4,
+              "M = 26 is the narrowest payload the chunk deposit takes");
+
+/// `len` summands every one of which the chunk deposit folds: random sign
+/// and mantissa, biased exponent anywhere in [be_lo, be_end), so the lsb
+/// is at or above limb 0's unit weight and |x| < range_max.
+std::vector<double> window_stream(HallbergParams p, std::size_t len,
+                                  std::uint64_t seed) {
+  const detail::HallbergChunkTable t = detail::hallberg_chunk_table(p.n, p.m);
+  util::Xoshiro256ss rng(seed);
+  std::vector<double> xs(len);
+  for (double& x : xs) {
+    const std::uint64_t be =
+        static_cast<std::uint64_t>(t.be_lo) +
+        rng.bounded(static_cast<std::uint64_t>(t.be_end - t.be_lo));
+    const std::uint64_t r = rng.next();
+    x = std::bit_cast<double>((r & (std::uint64_t{1} << 63)) | (be << 52) |
+                              (r & ((std::uint64_t{1} << 52) - 1)));
+  }
+  return xs;
+}
+
+/// Fixed-format span deposit vs the add() loop, in limbs and rejected
+/// count, starting from the same limbs.
+template <int N, int M>
+void expect_span_matches(std::span<const double> xs,
+                         const HallbergFixed<N, M>& start = {}) {
+  HallbergFixed<N, M> ref = start;
+  const std::size_t rejected = add_loop(ref, xs);
+  HallbergFixed<N, M> got = start;
+  EXPECT_EQ(got.accumulate(xs), rejected);
+  EXPECT_EQ(got.limbs(), ref.limbs());
+}
+
 TEST(HallbergSpan, WrapPastMaxSummandsIsIdentical) {
   // The paper's catastrophic overflow past max_summands(): the span path
   // must fail the same way, limb for limb.
@@ -373,6 +411,91 @@ TEST(HallbergSpan, WrapPastMaxSummandsIsIdentical) {
   add_loop(fixed_ref, xs);
   fixed_got.accumulate(xs);
   EXPECT_EQ(fixed_got.limbs(), fixed_ref.limbs());
+
+  // Mixed signs and exponents over 3+ blocks of the chunk deposit: its
+  // folded sums must wrap exactly as the add() loop's limbs do.
+  constexpr std::size_t len = 3 * kernel::kChunkBlock + 7;
+  expect_span_matches<4, 61>(window_stream(p, len, 31));
+  expect_span_matches<30, 62>(window_stream(HallbergParams{30, 62}, len, 32));
+}
+
+template <int N, int M>
+void expect_lengths_match(std::uint64_t seed) {
+  SCOPED_TRACE("HallbergFixed<" + std::to_string(N) + "," + std::to_string(M) +
+               ">");
+  constexpr std::size_t b = kernel::kChunkBlock;
+  for (const std::size_t len :
+       {std::size_t{1}, b - 1, b, b + 1, 2 * b + 1, 2 * b + 5}) {
+    SCOPED_TRACE("len " + std::to_string(len));
+    const auto xs = window_stream(HallbergFixed<N, M>::params(), len, seed);
+    expect_span_matches<N, M>(xs);
+    // A non-zero start: the fold adds into limbs already holding a sum.
+    HallbergFixed<N, M> start;
+    add_loop(start, std::span(xs).first(len / 2 + 1));
+    expect_span_matches<N, M>(xs, start);
+  }
+}
+
+TEST(HallbergSpan, BlockBoundaryLengths) {
+  expect_lengths_match<10, 38>(11);
+  expect_lengths_match<10, 52>(12);
+  expect_lengths_match<12, 43>(13);
+  expect_lengths_match<14, 37>(14);
+  expect_lengths_match<12, 26>(15);
+  expect_lengths_match<11, 27>(16);
+  expect_lengths_match<30, 62>(17);
+}
+
+/// One value of every kind the chunk deposit leaves to the scatter.
+std::vector<double> outside_window(HallbergParams p) {
+  const int half = p.n * p.m / 2;
+  const double inf = std::numeric_limits<double>::infinity();
+  return {
+      0.0, -0.0,
+      std::numeric_limits<double>::denorm_min(),   // subnormal
+      std::ldexp(1.0, -half - 1),                  // entirely below the lsb
+      std::ldexp(1.0 - 0x1p-53, 52 - half),        // lowest bit below the lsb
+      p.range_max(), -p.range_max(),
+      std::numeric_limits<double>::quiet_NaN(), inf, -inf,
+  };
+}
+
+template <int N, int M>
+void expect_out_of_window_matches(std::uint64_t seed) {
+  SCOPED_TRACE("HallbergFixed<" + std::to_string(N) + "," + std::to_string(M) +
+               ">");
+  const HallbergParams p = HallbergFixed<N, M>::params();
+  constexpr std::size_t b = kernel::kChunkBlock;
+  const auto clean = window_stream(p, 3 * b, seed);
+  for (const double v : outside_window(p)) {
+    // First, middle and last index of the middle block.
+    for (const std::size_t at : {b, b + b / 2, 2 * b - 1}) {
+      SCOPED_TRACE("value " + std::to_string(v) + " at " + std::to_string(at));
+      auto xs = clean;
+      xs[at] = v;
+      expect_span_matches<N, M>(xs);
+      // The block must have left the scratch zero: a later call on this
+      // thread, over the same keys, still matches.
+      expect_span_matches<N, M>(clean);
+    }
+  }
+  // Many outside summands per block (more than the scatter's batch), and
+  // a block of nothing else, between in-window ones.
+  util::Xoshiro256ss rng(seed);
+  const auto bad = outside_window(p);
+  auto xs = clean;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i / b == 1 || rng.bounded(8) == 0) xs[i] = bad[rng.bounded(bad.size())];
+  }
+  expect_span_matches<N, M>(xs);
+  expect_span_matches<N, M>(clean);
+}
+
+TEST(HallbergSpan, OutOfWindowSummandsTakeTheScatter) {
+  expect_out_of_window_matches<10, 38>(21);
+  expect_out_of_window_matches<12, 26>(22);
+  expect_out_of_window_matches<30, 62>(23);
+  expect_out_of_window_matches<4, 61>(24);
 }
 
 }  // namespace
