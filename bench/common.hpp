@@ -21,7 +21,6 @@
 
 #include "core/hp_kernel_simd.hpp"
 #include "trace/flight.hpp"
-#include "trace/pulse.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -43,16 +42,6 @@ inline constexpr const char* kMetricsFlag = "metrics";
 /// stdout and `--flight=FILE` writes it to FILE.
 inline constexpr const char* kFlightFlag = "flight";
 
-/// The --pulse flag every bench harness accepts (add kPulseFlag and
-/// kPulseIntervalFlag to the harness's known-flags list). Presence arms
-/// the hpsum_pulse background sampler for the run: bare `--pulse` streams
-/// JSONL ticks to "pulse.jsonl", `--pulse=FILE` picks the stream path.
-/// `--pulse-interval-ms=N` sets the tick interval (default 250). The
-/// HPSUM_PULSE environment variable arms the sampler even without the
-/// flag.
-inline constexpr const char* kPulseFlag = "pulse";
-inline constexpr const char* kPulseIntervalFlag = "pulse-interval-ms";
-
 /// Arms the flight recorder when --flight was given. Call right after
 /// argument parsing, BEFORE the measured work, so worker threads spawned
 /// later get their track labels recorded (set_track is a no-op while
@@ -61,66 +50,29 @@ inline void arm_flight(const util::Args& args) {
   if (!args.get_string(kFlightFlag, "").empty()) trace::flight::arm();
 }
 
-/// Arms the pulse sampler when --pulse (or HPSUM_PULSE) was given. Call
-/// right after argument parsing, BEFORE the measured work, so the stream
-/// covers the whole run. Returns false only when arming was requested via
-/// the flag but failed (unwritable stream path) in a trace-enabled build;
-/// harnesses treat that as a fatal usage error.
-[[nodiscard]] inline bool arm_pulse(const util::Args& args) {
-  const std::string value = args.get_string(kPulseFlag, "");
-  if (value.empty()) return trace::pulse::arm_from_env(), true;
-  trace::pulse::Config cfg;
-  if (value != "true") cfg.jsonl_path = value;
-  const auto ms = args.get_int(kPulseIntervalFlag, 250);
-  cfg.interval = std::chrono::milliseconds(ms > 0 ? ms : 250);
-  const bool ok = trace::pulse::arm(cfg);
-  if (!ok && trace::enabled()) {
-    std::fprintf(stderr, "error: could not start --pulse sampler on %s\n",
-                 cfg.jsonl_path.c_str());
-    return false;
-  }
-  return true;
-}
-
-/// Emits the trace snapshot if --metrics was given. Call once, after the
-/// harness's last measured work. Returns false when a --metrics=FILE write
-/// failed (the harness must exit nonzero so CI cannot silently lose
-/// metrics; see finish()).
-[[nodiscard]] inline bool emit_metrics(const util::Args& args) {
-  const std::string value = args.get_string(kMetricsFlag, "");
+/// Exports through `write` (trace::write_json, flight::dump_chrome_json)
+/// when `--flag` was given: bare `--flag` to stdout, `--flag=FILE` to FILE.
+/// Returns false when the write failed.
+[[nodiscard]] inline bool emit(const util::Args& args, const char* flag,
+                               bool (*write)(const std::string&)) {
+  const std::string value = args.get_string(flag, "");
   if (value.empty()) return true;
   // util::Args stores "true" for a bare flag; treat that as stdout.
   const std::string path = value == "true" ? "" : value;
-  if (!trace::write_json(path)) {
-    std::fprintf(stderr, "error: could not write --metrics file %s\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
+  if (write(path)) return true;
+  std::fprintf(stderr, "error: could not write --%s file %s\n", flag,
+               path.empty() ? "(stdout)" : path.c_str());
+  return false;
 }
 
-/// Exports the flight recording if --flight was given. Returns false when
-/// a FILE export failed (propagated to the exit status by finish()).
-[[nodiscard]] inline bool emit_flight(const util::Args& args) {
-  const std::string value = args.get_string(kFlightFlag, "");
-  if (value.empty()) return true;
-  const std::string path = value == "true" ? "" : value;
-  if (!trace::flight::dump_chrome_json(path)) {
-    std::fprintf(stderr, "error: could not write --flight file %s\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
-}
-
-/// Standard harness epilogue: stops the pulse sampler (final tick flushes
-/// the end-of-run state), exports --metrics and --flight, and converts any
-/// export failure into a nonzero exit status. Every harness body ends with
-/// `return bench::finish(args);`.
+/// Standard harness epilogue: exports --metrics (the trace snapshot after
+/// the harness's last measured work) and --flight, and converts any export
+/// failure into a nonzero exit status so CI cannot silently lose metrics.
+/// Every harness body ends with `return bench::finish(args);`.
 [[nodiscard]] inline int finish(const util::Args& args) {
-  trace::pulse::disarm();
-  const bool metrics_ok = emit_metrics(args);
-  const bool flight_ok = emit_flight(args);
+  const bool metrics_ok = emit(args, kMetricsFlag, trace::write_json);
+  const bool flight_ok =
+      emit(args, kFlightFlag, trace::flight::dump_chrome_json);
   return metrics_ok && flight_ok ? 0 : 1;
 }
 

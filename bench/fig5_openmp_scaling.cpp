@@ -62,7 +62,6 @@ std::vector<backends::ScalingPoint> sweep(const std::vector<double>& xs,
 
 int run(const util::Args& args) {
   bench::arm_flight(args);
-  if (!bench::arm_pulse(args)) return 1;
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto trials = static_cast<int>(args.get_int("trials", 3));
   const auto maxp = static_cast<int>(args.get_int("maxp", 8));
@@ -120,6 +119,5 @@ int run(const util::Args& args) {
 int main(int argc, char** argv) {
   return bench::run_main(argc, argv,
                          {"n", "trials", "seed", "maxp", "csv",
-                          bench::kMetricsFlag, bench::kFlightFlag,
-                          bench::kPulseFlag, bench::kPulseIntervalFlag}, run);
+                          bench::kMetricsFlag, bench::kFlightFlag}, run);
 }

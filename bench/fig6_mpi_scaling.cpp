@@ -156,7 +156,6 @@ struct Row {
 
 int run(const util::Args& args) {
   bench::arm_flight(args);
-  if (!bench::arm_pulse(args)) return 1;
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto maxp = static_cast<int>(args.get_int("maxp", 128));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));
@@ -313,6 +312,5 @@ int main(int argc, char** argv) {
   return bench::run_main(argc, argv,
                          {"n", "maxp", "seed", "algo", "wire", "mode", "dist",
                           "csv", "json", bench::kMetricsFlag,
-                          bench::kFlightFlag, bench::kPulseFlag,
-                          bench::kPulseIntervalFlag}, run);
+                          bench::kFlightFlag}, run);
 }

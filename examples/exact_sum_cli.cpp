@@ -11,9 +11,7 @@
 // (deposit-path counts, block flushes, status raises;
 // see docs/OBSERVABILITY.md) as JSON to stdout or FILE. --flight[=FILE]
 // arms the hpsum_flight event recorder and exports the run's timeline as
-// Chrome trace-event JSON. --pulse[=FILE] arms the hpsum_pulse background
-// sampler (JSONL stream, default pulse.jsonl; --pulse-interval-ms=N sets
-// its tick interval). --health[=FILE] evaluates the run's telemetry
+// Chrome trace-event JSON. --health[=FILE] evaluates the run's telemetry
 // through the src/audit health rules and prints the indicator report as
 // JSON.
 //
@@ -46,21 +44,18 @@
 #include "core/reduce.hpp"
 #include "engine/engine.hpp"
 #include "trace/flight.hpp"
-#include "trace/pulse.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 
 namespace {
 
-const std::vector<std::string> kFlags = {
-    "metrics", "flight", "pulse",         "pulse-interval-ms",
-    "health",  "shards", "snapshot-every"};
+const std::vector<std::string> kFlags = {"metrics", "flight", "health",
+                                         "shards", "snapshot-every"};
 
 /// Every flag, parsed and range-checked before stdin is read. The FILE
 /// flags hold "" when absent and "true" when given without a value.
 struct Options {
-  std::string metrics, flight, pulse, health;
-  std::int64_t pulse_interval_ms = 250;
+  std::string metrics, flight, health;
   std::size_t shards = 0;
   std::size_t snapshot_every = 4096;
 };
@@ -81,9 +76,7 @@ Options parse_options(int argc, char** argv) {
   Options o;
   o.metrics = args.get_string("metrics", "");
   o.flight = args.get_string("flight", "");
-  o.pulse = args.get_string("pulse", "");
   o.health = args.get_string("health", "");
-  o.pulse_interval_ms = at_least("pulse-interval-ms", 250, 1);
   o.shards = static_cast<std::size_t>(at_least("shards", 0, 0));
   o.snapshot_every =
       static_cast<std::size_t>(at_least("snapshot-every", 4096, 1));
@@ -117,19 +110,6 @@ int main(int argc, char** argv) {
 
   try {
     if (!opt.flight.empty()) trace::flight::arm();
-    if (!opt.pulse.empty()) {
-      trace::pulse::Config pcfg;
-      if (opt.pulse != "true") pcfg.jsonl_path = opt.pulse;
-      pcfg.interval = std::chrono::milliseconds(opt.pulse_interval_ms);
-      if (!trace::pulse::arm(pcfg) && trace::enabled()) {
-        std::fprintf(stderr,
-                     "exact_sum_cli: could not start --pulse sampler on %s\n",
-                     pcfg.jsonl_path.c_str());
-        return 1;
-      }
-    } else {
-      trace::pulse::arm_from_env();
-    }
     if (xs.empty()) {
       std::printf("no input values; sum = 0\n");
       return 0;
@@ -210,44 +190,24 @@ int main(int argc, char** argv) {
                           .value_or(0)));
     }
 
-    trace::pulse::disarm();
-    const std::string& health = opt.health;
-    if (!health.empty()) {
-      const std::string json = audit::health_report_json();
-      if (health == "true") {
-        std::fputs(json.c_str(), stdout);
-      } else {
-        std::FILE* f = std::fopen(health.c_str(), "w");
-        if (f == nullptr) {
-          std::fprintf(stderr,
-                       "exact_sum_cli: could not write --health file %s\n",
-                       health.c_str());
-          return 1;
-        }
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-      }
-    }
-    const std::string& metrics = opt.metrics;
-    if (!metrics.empty()) {
-      const std::string path = metrics == "true" ? "" : metrics;
-      if (!trace::write_json(path)) {
-        std::fprintf(stderr,
-                     "exact_sum_cli: could not write --metrics file %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
-    const std::string& flight = opt.flight;
-    if (!flight.empty()) {
-      const std::string path = flight == "true" ? "" : flight;
-      if (!trace::flight::dump_chrome_json(path)) {
-        std::fprintf(stderr,
-                     "exact_sum_cli: could not write --flight file %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
+    // A bare FILE flag ("true") exports to stdout.
+    const auto exported = [](const char* flag, const std::string& value,
+                             bool (*write)(const std::string&)) {
+      if (value.empty()) return true;
+      const std::string path = value == "true" ? "" : value;
+      if (write(path)) return true;
+      std::fprintf(stderr, "exact_sum_cli: could not write --%s file %s\n",
+                   flag, path.empty() ? "(stdout)" : path.c_str());
+      return false;
+    };
+    const bool ok =
+        exported("health", opt.health,
+                 [](const std::string& path) {
+                   return trace::write_file(path, audit::health_report_json());
+                 }) &&
+        exported("metrics", opt.metrics, trace::write_json) &&
+        exported("flight", opt.flight, trace::flight::dump_chrome_json);
+    if (!ok) return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "exact_sum_cli: %s\n", e.what());
     return 1;

@@ -11,6 +11,7 @@
 #include "core/reduce.hpp"
 #include "stats/stats.hpp"
 #include "trace/flight.hpp"
+#include "trace/trace.hpp"
 #include "workload/workload.hpp"
 
 namespace hpsum::audit {
@@ -188,16 +189,7 @@ std::string forensic_bundle_json(const DivergenceReport& report,
 bool write_forensic_bundle(const std::string& path,
                            const DivergenceReport& report,
                            std::size_t last_k_events) {
-  const std::string json = forensic_bundle_json(report, last_k_events);
-  if (path.empty() || path == "-") {
-    std::fputs(json.c_str(), stdout);
-    return true;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return n == json.size();
+  return trace::write_file(path, forensic_bundle_json(report, last_k_events));
 }
 
 }  // namespace hpsum::audit

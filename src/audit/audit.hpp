@@ -87,9 +87,9 @@ struct DivergenceReport {
 /// the first divergent limb, sticky statuses, an environment fingerprint
 /// (compiler, trace/flight state, hardware concurrency, HPSUM_*
 /// environment), and the last `last_k_events` flight events per thread.
-/// Returns false (writing nothing) if the file cannot be opened. Usable
+/// Written via trace::write_file; false when the write failed. Usable
 /// for agreeing reports too ("diverged": false) as a run receipt.
-bool write_forensic_bundle(const std::string& path,
+[[nodiscard]] bool write_forensic_bundle(const std::string& path,
                            const DivergenceReport& report,
                            std::size_t last_k_events = 32);
 

@@ -26,8 +26,7 @@ struct Rule {
 
 constexpr Counter kPad = Counter::kCount;
 
-// The rule catalog (docs/OBSERVABILITY.md documents each indicator;
-// tools/hpsum_top.py mirrors these ratios over the pulse stream).
+// The rule catalog (docs/OBSERVABILITY.md documents each indicator).
 constexpr std::array<Rule, 6> kRules = {{
     // Share of deposits that took the paper's scatter fast path. Low
     // coverage means the workload is falling back to convert+add.

@@ -1,10 +1,9 @@
 // health — derived numeric-health indicators over hpsum_trace snapshots.
 //
-// Raw counters answer "how much happened"; `exact_sum_cli --health` and
-// tools/hpsum_top.py answer the next question: "is what happened
-// *healthy*?" This layer is a fixed rule table that evaluates a Snapshot
-// into named indicators, each a ratio of catalog counters with
-// ok/warn/fail thresholds:
+// Raw counters answer "how much happened"; `exact_sum_cli --health`
+// answers the next question: "is what happened *healthy*?" This layer is
+// a fixed rule table that evaluates a Snapshot into named indicators,
+// each a ratio of catalog counters with ok/warn/fail thresholds:
 //
 //   scatter.fast_path_coverage  scatter deposits / all deposits — the share
 //                               of adds that took the paper's fast path
@@ -29,9 +28,10 @@
 //
 // The layer lives in src/audit (not src/trace) because it *consumes* the
 // telemetry contract rather than defining it: trace stays dependency-free
-// below core, while health sits beside the other diagnostics.
-// tools/hpsum_top.py computes the same ratios in Python from the pulse
-// JSONL stream; docs/OBSERVABILITY.md is the shared rule catalog.
+// below core, while health sits beside the other diagnostics. These rules
+// are the only implementation; docs/OBSERVABILITY.md documents them, and
+// tools/telemetry_smoke.py checks a --health report only for internal
+// consistency (ratio, level and overall against its own numbers).
 #pragma once
 
 #include <optional>

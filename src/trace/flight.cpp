@@ -448,16 +448,7 @@ std::string to_chrome_json(const std::vector<ThreadEvents>& threads) {
 }
 
 bool dump_chrome_json(const std::string& path) {
-  const std::string json = to_chrome_json(collect());
-  if (path.empty() || path == "-") {
-    std::fputs(json.c_str(), stdout);
-    return true;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return n == json.size();
+  return write_file(path, to_chrome_json(collect()));
 }
 
 void reset() noexcept {

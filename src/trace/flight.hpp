@@ -254,9 +254,9 @@ struct ThreadEvents {
 /// args are decoded per EventId (reduction_id, bytes, rank, ...).
 [[nodiscard]] std::string to_chrome_json(const std::vector<ThreadEvents>& threads);
 
-/// Writes to_chrome_json(collect()) to `path` ("-" or "" = stdout).
-/// Returns false (writing nothing) if the file cannot be opened.
-bool dump_chrome_json(const std::string& path);
+/// Writes to_chrome_json(collect()) to `path` ("-" or "" = stdout) via
+/// trace::write_file; false when the write failed.
+[[nodiscard]] bool dump_chrome_json(const std::string& path);
 
 /// Drops every retained event (live rings rewind, retired rings are
 /// freed). Like trace::reset(): for tests and bench warmup isolation;

@@ -144,17 +144,19 @@ std::string Snapshot::to_json() const {
   return out;
 }
 
-bool write_json(const std::string& path) {
-  const std::string json = snapshot().to_json();
+bool write_file(const std::string& path, std::string_view text) {
   if (path.empty() || path == "-") {
-    std::fputs(json.c_str(), stdout);
-    return true;
+    const std::size_t n = std::fwrite(text.data(), 1, text.size(), stdout);
+    return std::fflush(stdout) == 0 && n == text.size();
   }
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  return true;
+  const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
+  return std::fclose(f) == 0 && n == text.size();
+}
+
+bool write_json(const std::string& path) {
+  return write_file(path, snapshot().to_json());
 }
 
 }  // namespace hpsum::trace

@@ -32,10 +32,10 @@
 //     constant evaluation, so the static_assert proofs in
 //     tests/test_constexpr_proofs.cpp still hold.
 //
-// The background sampler/exporter over these snapshots (a JSONL delta
-// stream) is src/trace/pulse.hpp; the derived health-rule
-// layer is src/audit/health.hpp. docs/OBSERVABILITY.md has the catalog,
-// export schemas, and measured overhead numbers.
+// Snapshots are exported once, at the end of a run (write_json, the
+// --metrics flag); the derived health-rule layer over them is
+// src/audit/health.hpp. docs/OBSERVABILITY.md has the catalog, export
+// schemas, and measured overhead numbers.
 #pragma once
 
 #include <array>
@@ -56,7 +56,7 @@
 namespace hpsum::trace {
 
 /// The counter catalog. Stable names (see counter_name) appear in the JSON
-/// and pulse exports; docs/OBSERVABILITY.md documents each one.
+/// export; docs/OBSERVABILITY.md documents each one.
 enum class Counter : std::uint16_t {
   // core — scatter-add fast path vs reference path.
   kScatterAddCalls = 0,   ///< operator+=(double) deposits (fast path)
@@ -226,8 +226,14 @@ struct Snapshot {
 /// numbers.
 void reset() noexcept;
 
-/// Writes snapshot().to_json() to `path` ("-" or "" = stdout). Returns
-/// false (and writes nothing) if the file cannot be opened.
-bool write_json(const std::string& path);
+/// The one export writer: writes `text` to `path` ("-" or "" = stdout).
+/// Returns false when the file cannot be opened, the write is short, or
+/// the close (or, for stdout, the flush) fails, so a full disk is an
+/// error rather than a silently empty export. Every JSON export (metrics,
+/// flight, health, forensic bundle) goes through it.
+[[nodiscard]] bool write_file(const std::string& path, std::string_view text);
+
+/// Writes snapshot().to_json() to `path` via write_file.
+[[nodiscard]] bool write_json(const std::string& path);
 
 }  // namespace hpsum::trace

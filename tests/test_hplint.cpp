@@ -94,8 +94,9 @@ TEST(HplintScope, BenchOnlyGetsDiscardRule) {
 
 TEST(HplintScope, RawTelemetryCoversInstrumentedPlanes) {
   EXPECT_TRUE(lint::scope_for_path("src/core/hp_convert.hpp").l5);
-  // The planes feeding the pulse stream must route output through trace
-  // probes too; their sanctioned printers carry L9 allow annotations.
+  // The planes feeding the counter and flight exports must route output
+  // through trace probes too; their sanctioned printers carry L9 allow
+  // annotations.
   EXPECT_TRUE(lint::scope_for_path("src/mpisim/mpisim.cpp").l5);
   EXPECT_TRUE(lint::scope_for_path("src/audit/health.cpp").l5);
   EXPECT_TRUE(lint::scope_for_path("src/engine/engine.cpp").l5);

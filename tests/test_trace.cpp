@@ -232,6 +232,12 @@ TEST(TraceExport, WriteJsonToFileAndFailurePath) {
   EXPECT_EQ(std::fopen("/nonexistent-dir/trace.json", "rb"), nullptr);
   // A directory path cannot be opened for writing either.
   EXPECT_FALSE(trace::write_json(::testing::TempDir()));
+  // A full device accepts the open and fails the write or the close: that
+  // is a failed export too, not a silently empty file.
+  if (std::FILE* full = std::fopen("/dev/full", "w")) {
+    std::fclose(full);
+    EXPECT_FALSE(trace::write_json("/dev/full"));
+  }
 }
 
 TEST(TraceDeltas, DeltaSinceSaturatesInsteadOfWrapping) {

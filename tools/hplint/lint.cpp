@@ -890,10 +890,11 @@ RuleScope scope_for_path(std::string_view path) noexcept {
   s.l3 = true;  // discarding a status mask is wrong everywhere we scan
   s.l4 = path_contains(path, "src/");
   // L5 covers the kernel directory plus the instrumented planes that feed
-  // the pulse stream (src/mpisim, src/audit, src/engine): bench/examples
-  // print by design, and src/trace IS the sanctioned telemetry sink.
-  // Legitimate exceptions (e.g. the audit reporters' own output paths) are
-  // ledgered via L9 allow annotations, not scoped out wholesale.
+  // the counter and flight exports (src/mpisim, src/audit, src/engine):
+  // bench/examples print by design, and src/trace IS the sanctioned
+  // telemetry sink. Legitimate exceptions (e.g. the audit reporters' own
+  // output paths) are ledgered via L9 allow annotations, not scoped out
+  // wholesale.
   s.l5 = path_contains(path, "src/core") ||
          path_contains(path, "src/mpisim") ||
          path_contains(path, "src/audit") ||

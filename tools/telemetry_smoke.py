@@ -4,32 +4,31 @@ from one place (schemas in docs/OBSERVABILITY.md).
 
 Runs, from --build-dir:
 
-  1. bench/fig6_mpi_scaling at n with --metrics, --flight and --pulse
-     together;
+  1. bench/fig6_mpi_scaling at n with --metrics and --flight together;
   2. bench/fig6_mpi_scaling at 2n with --metrics;
-  3. examples/exact_sum_cli with --pulse and --health on a fixed input.
+  3. examples/exact_sum_cli with --health on a fixed input.
 
 and checks:
 
   * --metrics: ``"hpsum_trace": 3``, ``"enabled": true``, a ``counters``
-    object of non-negative integers and nothing else; every counter a
-    health rule reads is in the catalog; ``core.block.deposits`` is
-    nonzero (fig6 runs the block path) and does not shrink from n to 2n;
-  * --pulse: a ``"hpsum_pulse": 2`` header, >= 2 ticks, ``seq`` 1, 2, ...,
-    ``ts_ms`` monotone from ``epoch_ms``, tick deltas nonzero
-    non-negative integers whose names resolve in the same run's
-    --metrics catalog, and summed deltas equal to the --metrics totals;
+    object of non-negative integers and nothing else;
+    ``core.block.deposits`` is nonzero (fig6 runs the block path) and
+    does not shrink from n to 2n;
   * --flight: >= 2 mpisim rank lanes, a ``reduction_id`` shared by
     ``mpi.reduce`` spans on >= 2 lanes and by a ``local.reduce`` span,
     balanced B/E spans per track;
-  * --health: tools/hpsum_top.py's rule mirror, recomputed from the
-    summed pulse deltas, equals the C++ report on every indicator's name,
-    level, numerator, denominator and thresholds.
+  * --health: ``"hpsum_health": 1`` and six uniquely named indicators;
+    each non-n/a indicator's ``ratio`` is ``numerator / denominator`` and
+    its ``level`` follows ``warn_at``/``fail_at`` in the direction
+    ``higher_is_better`` gives; ``overall`` is the worst non-n/a level;
+    the rules the CLI run engages (block.fast_coverage,
+    snapshot.retry_rate) have nonzero denominators. The rules themselves
+    live only in src/audit/health.cpp; this checks the report against its
+    own numbers.
 
 With --expect-disabled (an HPSUM_TRACE=OFF build) the gate flips: the
---metrics export is ``"enabled": false`` with every counter zero, the
-pulse stream is its header alone (``"enabled": false``), and the health
-mirror still agrees (all n/a).
+--metrics export is ``"enabled": false`` with every counter zero, and
+every health indicator is n/a.
 
 --selftest feeds hand-built exports, each broken in one way, to the same
 checks; each must fail naming its defect, and the clean exports must pass.
@@ -43,39 +42,30 @@ an HPSUM_TRACE=OFF build) and ``telemetry_smoke_selftest``.
 import argparse
 import collections
 import json
+import math
 import pathlib
 import subprocess
 import sys
 import tempfile
 
-TOOLS = pathlib.Path(__file__).resolve().parent
-sys.path.insert(0, str(TOOLS))
-import hpsum_top  # noqa: E402  (the health-rule mirror under test)
-
 TRACE_VERSION = 3
-PULSE_VERSION = 2
+HEALTH_VERSION = 1
+HEALTH_RULES = 6
 N = 200_000
 MAXP = 16
-INTERVAL_MS = 10
 # fig6 runs the block path: this counter is nonzero and grows with n.
 BLOCK_DEPOSITS = "core.block.deposits"
 # The exact_sum_cli run: a block-path reduction plus an engine pass, so the
 # block, status and snapshot rules have nonzero denominators.
 CLI_VALUES = [f"{i}.25" for i in range(1, 5001)]
 CLI_FLAGS = ["--shards=2", "--snapshot-every=256"]
+CLI_ENGAGED_RULES = ("block.fast_coverage", "snapshot.retry_rate")
+# Worst first; "n/a" (the rule's subsystem did not run) never counts.
+LEVELS = ("fail", "warn", "ok")
 
 
 def nonneg_int(v):
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def required_counters():
-    """Every counter a health rule reads."""
-    names = set()
-    for _, num, den, *_ in hpsum_top.HEALTH_RULES:
-        names.update(num)
-        names.update(den)
-    return names
 
 
 def check_metrics(doc, failures, label, enabled=True):
@@ -102,74 +92,7 @@ def check_metrics(doc, failures, label, enabled=True):
         elif not enabled and v != 0:
             failures.append(f"{label}: counter {name!r} is {v} in a "
                             "disabled build — probes were not compiled out")
-    for name in sorted(required_counters() - set(counters)):
-        failures.append(f"{label}: counter {name!r} a health rule reads is "
-                        "missing")
     return counters
-
-
-def summed(lines):
-    """Per-counter sum of a pulse stream's tick deltas."""
-    totals = collections.Counter()
-    for tick in lines[1:]:
-        totals.update(tick.get("counters", {}))
-    return dict(totals)
-
-
-def check_pulse(lines, catalog, failures, enabled=True):
-    """The JSONL stream, against the same run's --metrics counters."""
-    if not lines:
-        failures.append("pulse: stream is empty")
-        return
-    header, ticks = lines[0], lines[1:]
-    if header.get("hpsum_pulse") != PULSE_VERSION:
-        failures.append(f"pulse: wrong version: \"hpsum_pulse\" is "
-                        f"{header.get('hpsum_pulse')!r}, expected "
-                        f"{PULSE_VERSION}")
-    if header.get("enabled") is not enabled:
-        failures.append(f"pulse: header \"enabled\" is "
-                        f"{header.get('enabled')!r}, expected {enabled}")
-    for key in ("interval_ms", "epoch_ms"):
-        if not nonneg_int(header.get(key)):
-            failures.append(f"pulse: header {key!r} missing or invalid")
-    if not enabled:
-        if ticks:
-            failures.append(f"pulse: disabled build wrote {len(ticks)} "
-                            "ticks, expected the header only")
-        return
-    if len(ticks) < 2:
-        failures.append(f"pulse: only {len(ticks)} ticks, expected >= 2")
-    prev_ts = header.get("epoch_ms", 0)
-    for i, tick in enumerate(ticks, start=1):
-        extra = set(tick) - {"seq", "ts_ms", "counters"}
-        if extra:
-            failures.append(f"pulse tick {i}: unexpected keys "
-                            f"{sorted(extra)}")
-        seq, ts = tick.get("seq"), tick.get("ts_ms")
-        if seq != i:
-            failures.append(f"pulse tick {i}: seq is {seq!r}, expected {i} "
-                            "(not monotone)")
-        if not nonneg_int(ts) or ts < prev_ts:
-            failures.append(f"pulse tick {i}: ts_ms {ts!r} is not monotone "
-                            f"(previous {prev_ts})")
-        else:
-            prev_ts = ts
-        for name, v in tick.get("counters", {}).items():
-            if name not in catalog:
-                failures.append(f"pulse tick {i}: phantom counter {name!r} "
-                                "is not in the --metrics catalog")
-            if not nonneg_int(v):
-                failures.append(f"pulse tick {i}: counter {name!r} delta "
-                                f"{v!r} is not a non-negative integer")
-            elif v == 0:
-                failures.append(f"pulse tick {i}: counter {name!r} has a "
-                                "zero delta — ticks carry nonzero deltas "
-                                "only")
-    totals = summed(lines)
-    for name, v in catalog.items():
-        if totals.get(name, 0) != v:
-            failures.append(f"pulse: summed deltas of {name!r} = "
-                            f"{totals.get(name, 0)}, --metrics says {v}")
 
 
 def check_flight(events, failures, label):
@@ -221,30 +144,79 @@ def check_flight(events, failures, label):
                             f"pid={pid} tid={tid}: B-E = {d:+d}")
 
 
-def check_health(report, counters, failures):
-    """The C++ --health report against hpsum_top's mirror over `counters`."""
-    fields = ("level", "numerator", "denominator", "warn_at", "fail_at",
-              "higher_is_better")
-    got = {ind.get("name"): ind for ind in report.get("indicators", [])}
-    rows = hpsum_top.health_rows(counters)
-    if set(got) != {row["name"] for row in rows}:
-        failures.append(f"health: C++ rules {sorted(got)} differ from the "
-                        f"hpsum_top mirror {[r['name'] for r in rows]}")
-    for row in rows:
-        ind = got.get(row["name"], {})
-        for key in fields:
-            if ind.get(key) != row[key]:
-                failures.append(f"health: {row['name']} {key} is "
-                                f"{ind.get(key)!r} in C++, "
-                                f"{row[key]!r} in hpsum_top")
+def threshold_level(ind, ratio):
+    """The level `ratio` earns against the indicator's own thresholds."""
+    if ind["higher_is_better"]:
+        if ratio >= ind["warn_at"]:
+            return "ok"
+        return "warn" if ratio >= ind["fail_at"] else "fail"
+    if ratio <= ind["warn_at"]:
+        return "ok"
+    return "warn" if ratio <= ind["fail_at"] else "fail"
+
+
+def check_health(report, failures, enabled=True):
+    """The exact_sum_cli --health report, against its own numbers."""
+    if report.get("hpsum_health") != HEALTH_VERSION:
+        failures.append(f"health: wrong version: \"hpsum_health\" is "
+                        f"{report.get('hpsum_health')!r}, expected "
+                        f"{HEALTH_VERSION}")
+        return
+    indicators = report.get("indicators")
+    if not isinstance(indicators, list):
+        failures.append("health: \"indicators\" list missing")
+        return
+    names = [ind.get("name") for ind in indicators]
+    if len(names) != HEALTH_RULES or len(set(names)) != HEALTH_RULES:
+        failures.append(f"health: indicators {names} are not "
+                        f"{HEALTH_RULES} uniquely named rules")
+    levels = []
+    for ind in indicators:
+        name, level = ind.get("name"), ind.get("level")
+        num, den = ind.get("numerator"), ind.get("denominator")
+        if not (nonneg_int(num) and nonneg_int(den)):
+            failures.append(f"health: {name} numerator/denominator "
+                            f"{num!r}/{den!r} are not non-negative "
+                            "integers")
+            continue
+        if level == "n/a":
+            continue
+        if not enabled:
+            failures.append(f"health: {name} level is {level!r} in a "
+                            "disabled build, expected n/a")
+        if den == 0:
+            failures.append(f"health: {name} level is {level!r} over a "
+                            "zero denominator, expected n/a")
+            continue
+        ratio = num / den
+        # The report prints ratios with 6 significant digits.
+        if not math.isclose(ind.get("ratio", math.nan), ratio,
+                            rel_tol=1e-5, abs_tol=1e-12):
+            failures.append(f"health: {name} ratio {ind.get('ratio')!r} "
+                            f"is not numerator/denominator = {ratio:.6g}")
+        want = threshold_level(ind, ratio)
+        if level != want:
+            failures.append(f"health: {name} level is {level!r}, its "
+                            f"thresholds give {want!r} at ratio "
+                            f"{ratio:.6g}")
+        levels.append(level)
+    overall = next((lv for lv in LEVELS if lv in levels), "n/a")
+    if report.get("overall") != overall:
+        failures.append(f"health: overall is {report.get('overall')!r}, "
+                        f"the worst indicator level is {overall!r}")
+    if enabled:
+        by_name = {ind.get("name"): ind for ind in indicators}
+        for name in CLI_ENGAGED_RULES:
+            if by_name.get(name, {}).get("denominator", 0) == 0:
+                failures.append(f"health: {name} has a zero denominator — "
+                                "the CLI run did not engage it")
 
 
 def check_all(x, enabled=True):
     """Every check over one set of parsed exports (see run_binaries)."""
     failures = []
     catalog = check_metrics(x["metrics"], failures, "metrics", enabled)
-    check_pulse(x["pulse"], catalog, failures, enabled)
-    check_health(x["health"], summed(x["cli_pulse"]), failures)
+    check_health(x["health"], failures, enabled)
     if not enabled:
         return failures
     big = check_metrics(x["metrics_2n"], failures, "metrics 2n")
@@ -267,11 +239,6 @@ def run(cmd, stdin=None):
                    stdout=subprocess.DEVNULL)
 
 
-def read_jsonl(path):
-    return [json.loads(line) for line in
-            path.read_text(encoding="utf-8").splitlines() if line.strip()]
-
-
 def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -282,14 +249,10 @@ def run_binaries(build_dir, tmp, enabled):
     t = pathlib.Path(tmp)
     flight = [f"--flight={t / 'flight.json'}"] if enabled else []
     run([fig6, f"--n={N}", f"--maxp={MAXP}", f"--metrics={t / 'm.json'}",
-         f"--pulse={t / 'p.jsonl'}", f"--pulse-interval-ms={INTERVAL_MS}",
          *flight])
-    run([cli, f"--pulse={t / 'cli.jsonl'}",
-         f"--pulse-interval-ms={INTERVAL_MS}", f"--health={t / 'h.json'}",
-         *CLI_FLAGS], stdin="\n".join(CLI_VALUES) + "\n")
+    run([cli, f"--health={t / 'h.json'}", *CLI_FLAGS],
+        stdin="\n".join(CLI_VALUES) + "\n")
     x = {"metrics": read_json(t / "m.json"),
-         "pulse": read_jsonl(t / "p.jsonl"),
-         "cli_pulse": read_jsonl(t / "cli.jsonl"),
          "health": read_json(t / "h.json")}
     if enabled:
         run([fig6, f"--n={2 * N}", f"--maxp={MAXP}",
@@ -301,19 +264,20 @@ def run_binaries(build_dir, tmp, enabled):
 
 # ---- selftest --------------------------------------------------------------
 
+def indicator(name, num, den, warn_at, fail_at, higher_is_better,
+              level):
+    """One --health indicator as exact_sum_cli renders it."""
+    ratio = float(f"{num / den:.6g}") if level != "n/a" else 0
+    return {"name": name, "level": level, "ratio": ratio, "numerator": num,
+            "denominator": den, "warn_at": warn_at, "fail_at": fail_at,
+            "higher_is_better": higher_is_better}
+
+
 def clean_exports():
     """A small, internally consistent set of enabled-build exports."""
-    counters = {name: 0 for name in sorted(required_counters())}
-    counters.update({"core.block.deposits": 100,
-                     "mpisim.wire.raw_bytes": 96,
-                     "mpisim.wire.encoded_bytes": 28})
-    ticks = [{"seq": 1, "ts_ms": 1005, "counters": {
-                 "core.block.deposits": 60, "mpisim.wire.raw_bytes": 96}},
-             {"seq": 2, "ts_ms": 1012, "counters": {
-                 "core.block.deposits": 40,
-                 "mpisim.wire.encoded_bytes": 28}}]
-    header = {"hpsum_pulse": PULSE_VERSION, "enabled": True,
-              "interval_ms": INTERVAL_MS, "epoch_ms": 1000}
+    counters = {"core.block.deposits": 100, "core.scatter_add.calls": 0,
+                "mpisim.wire.raw_bytes": 96,
+                "mpisim.wire.encoded_bytes": 28}
     events = [{"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
                "args": {"name": f"mpisim {pid}"}} for pid in (0, 1)]
     for pid in (0, 1):
@@ -327,11 +291,19 @@ def clean_exports():
                     "counters": dict(counters)},
         "metrics_2n": {"hpsum_trace": TRACE_VERSION, "enabled": True,
                        "counters": {**counters, "core.block.deposits": 200}},
-        "pulse": [header, *ticks],
         "flight": events,
-        "cli_pulse": [header, *json.loads(json.dumps(ticks))],
-        "health": {"hpsum_health": 1,
-                   "indicators": hpsum_top.health_rows(counters)},
+        "health": {"hpsum_health": HEALTH_VERSION, "overall": "warn",
+                   "indicators": [
+            indicator("scatter.fast_path_coverage", 0, 0, 0.5, 0.2, True,
+                      "n/a"),
+            indicator("block.fast_coverage", 2992, 3000, 0.5, 0.2, True,
+                      "ok"),
+            indicator("atomic.cas_retry_rate", 0, 0, 0.5, 2, False, "n/a"),
+            indicator("status.raise_rate", 0, 3000, 0.25, 0.75, False, "ok"),
+            indicator("mpisim.wire_compression", 0, 0, 0.5, 0.9, False,
+                      "n/a"),
+            indicator("snapshot.retry_rate", 3, 4, 0.5, 2, False, "warn"),
+        ]},
     }
 
 
@@ -339,9 +311,10 @@ def disabled_exports():
     x = clean_exports()
     x["metrics"]["enabled"] = False
     x["metrics"]["counters"] = {n: 0 for n in x["metrics"]["counters"]}
-    x["pulse"] = [{**x["pulse"][0], "enabled": False}]
-    x["cli_pulse"] = list(x["pulse"])
-    x["health"]["indicators"] = hpsum_top.health_rows({})
+    x["health"]["overall"] = "n/a"
+    x["health"]["indicators"] = [
+        {**ind, "level": "n/a", "ratio": 0, "numerator": 0,
+         "denominator": 0} for ind in x["health"]["indicators"]]
     return x
 
 
@@ -374,36 +347,23 @@ def selftest():
            check_all(disabled_exports(), enabled=False))
     expect("wrong trace version",
            broken(set_in(["metrics", "hpsum_trace"], 2)), "wrong version")
-    expect("wrong pulse version",
-           broken(set_in(["pulse", 0, "hpsum_pulse"], 1)), "wrong version")
     expect("negative counter",
            broken(set_in(["metrics", "counters", "core.block.deposits"], -1)),
            "non-negative integer")
-    expect("phantom counter",
-           broken(set_in(["pulse", 2, "counters", "core.reduce.latency_ns"],
-                         5)), "phantom counter")
-    expect("non-monotone seq",
-           broken(set_in(["pulse", 2, "seq"], 1)), "not monotone")
-    expect("non-monotone ts_ms",
-           broken(set_in(["pulse", 2, "ts_ms"], 1001)), "not monotone")
-    expect("zero delta in a tick",
-           broken(set_in(["pulse", 1, "counters", "atomic.cas.adds"], 0)),
-           "zero delta")
     expect("unbalanced B/E span",
            broken(lambda x: x["flight"].pop()), "unbalanced B/E span")
     expect("nonzero counter in a disabled build",
            broken(set_in(["metrics", "counters", "core.block.deposits"], 3),
                   enabled=False), "disabled build")
-    expect("pulse ticks in a disabled build",
-           broken(lambda x: x["pulse"].append({"seq": 1, "ts_ms": 1001,
-                                               "counters": {}}),
-                  enabled=False), "header only")
-    expect("health mirror drift",
+    expect("health ratio is not numerator/denominator",
+           broken(set_in(["health", "indicators", 1, "ratio"], 0.5)),
+           "block.fast_coverage ratio 0.5 is not numerator/denominator")
+    expect("health level disagrees with its thresholds",
            broken(set_in(["health", "indicators", 3, "level"], "fail")),
-           "status.raise_rate level")
-    expect("pulse totals differ from --metrics",
-           broken(set_in(["pulse", 1, "counters", "core.block.deposits"],
-                         61)), "summed deltas")
+           "status.raise_rate level is 'fail', its thresholds give 'ok'")
+    expect("wrong health overall",
+           broken(set_in(["health", "overall"], "ok")),
+           "overall is 'ok', the worst indicator level is 'warn'")
     print(f"telemetry_smoke --selftest: "
           f"{'PASS' if all(results) else 'FAIL'} "
           f"({sum(results)}/{len(results)})")
