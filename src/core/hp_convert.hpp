@@ -37,16 +37,20 @@ namespace detail {
 
 /// Extracts the 64 bits [lowbit+63 .. lowbit] of a big-endian magnitude,
 /// zero-filling positions outside [0, 64n). Bit 0 is the lsb of limbs[n-1].
+/// Reads at most two limbs: the one holding `lowbit` (shifted down) and
+/// the one above it (shifted up), for any lowbit, negative ones included.
 constexpr std::uint64_t extract_u64(const util::Limb* limbs, int n,
                                     int lowbit) noexcept {
-  std::uint64_t out = 0;
-  for (int b = 0; b < 64; ++b) {
-    const int p = lowbit + b;
-    if (p < 0 || p >= 64 * n) continue;
-    const int li = n - 1 - p / 64;
-    const int off = p % 64;
-    out |= ((limbs[li] >> off) & 1ull) << b;
-  }
+  if (lowbit <= -64 || lowbit >= 64 * n) return 0;
+  // Word w counts limbs from the bottom; w = -1 is the zero word below
+  // limb n-1, which holds lowbit when lowbit < 0.
+  const int w = lowbit >= 0 ? lowbit / 64 : -1;
+  const int off = lowbit - 64 * w;  // in [0, 64)
+  const auto word = [&](int i) -> std::uint64_t {
+    return i >= 0 && i < n ? limbs[n - 1 - i] : 0;
+  };
+  std::uint64_t out = word(w) >> off;
+  if (off != 0) out |= word(w + 1) << (64 - off);
   return out;
 }
 
@@ -173,13 +177,19 @@ constexpr HpStatus from_double_exact(double r, util::Limb* a, int n,
 /// subnormal grid (ties to even), exactly as ldexp would.
 constexpr HpStatus to_double_impl(const util::Limb* a, int n, int k,
                                   double* out) noexcept {
-  util::Limb mag[kMaxLimbs] = {};
-  for (int i = 0; i < n; ++i) mag[i] = a[i];
-  const auto span = util::LimbSpan(mag, static_cast<std::size_t>(n));
-  const bool neg = util::sign_bit(span);
-  if (neg) util::negate_twos(span);
+  // A negative value is negated in a copy of its n limbs; a non-negative
+  // one is read in place.
+  const auto len = static_cast<std::size_t>(n);
+  const bool neg = util::sign_bit(util::ConstLimbSpan(a, len));
+  util::Limb negated[kMaxLimbs];
+  const util::Limb* mag = a;
+  if (neg) {
+    for (int i = 0; i < n; ++i) negated[i] = a[i];
+    util::negate_twos(util::LimbSpan(negated, len));
+    mag = negated;
+  }
 
-  const int h = util::highest_set_bit(span);
+  const int h = util::highest_set_bit(util::ConstLimbSpan(mag, len));
   if (h < 0) {
     *out = 0.0;
     return HpStatus::kOk;

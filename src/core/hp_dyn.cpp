@@ -1,5 +1,6 @@
 #include "core/hp_dyn.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -47,9 +48,12 @@ HpDyn& HpDyn::operator+=(double r) noexcept {
 HpDyn& HpDyn::accumulate(std::span<const double> xs) noexcept {
   const int n = cfg_.n;
   // n+1 plane slots (kernel::block_flush's layout: slot 0 is the pad);
-  // sized for the widest format.
-  kernel::U128 pos[kMaxLimbs + 1] = {};
-  kernel::U128 neg[kMaxLimbs + 1] = {};
+  // sized for the widest format, but the block kernels touch only slots
+  // [0, n], so only those are zeroed.
+  kernel::U128 pos[kMaxLimbs + 1];
+  kernel::U128 neg[kMaxLimbs + 1];
+  std::fill_n(pos, n + 1, kernel::U128{0});
+  std::fill_n(neg, n + 1, kernel::U128{0});
   int bound_exp = kernel::block_bound_exp(limbs_.data(), n);
   int pending = 0;
   status_ |= kernel::block_accumulate(limbs_.data(), pos, neg, n, cfg_.k,

@@ -1,29 +1,63 @@
 #include "mpisim/hp_ops.hpp"
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <memory>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "core/hp_kernel.hpp"
 #include "mpisim/wire.hpp"
 
 namespace hpsum::mpisim {
 
-std::shared_ptr<const WireCodec> hp_sparse_codec(HpConfig cfg) {
+namespace {
+
+/// Bytes of the widest HP value's limb image: the stack staging of
+/// reduce_hp_value and allreduce_hp_value.
+constexpr std::size_t kMaxValueBytes = kMaxLimbs * sizeof(util::Limb);
+
+/// HP formats wider than kMaxLimbs have no HpDyn and overflow the combine's
+/// stack staging.
+void check_limbs(HpConfig cfg) {
   validate(cfg);
-  const int n = cfg.n;
+  if (cfg.n > kMaxLimbs) {
+    throw std::length_error("mpisim: HP limb count exceeds kMaxLimbs");
+  }
+}
+
+std::shared_ptr<const WireCodec> make_sparse_codec(int n) {
   auto codec = std::make_shared<WireCodec>();
   codec->name = "hp-sparse{" + std::to_string(n) + "}";
+  codec->bound = [n](std::size_t count) {
+    return wire::encoded_bound(n, count);
+  };
   codec->encode = [n](const std::byte* raw, std::size_t count,
-                      std::uint8_t status) {
-    return wire::encode(raw, count, n, status);
+                      std::uint8_t status, std::byte* out) {
+    return wire::encode_into(raw, count, n, status, out);
   };
   codec->decode = [n](const std::byte* msg, std::size_t msg_bytes,
                       std::byte* raw, std::size_t count) {
     return wire::decode(msg, msg_bytes, raw, count, n);
   };
   return codec;
+}
+
+}  // namespace
+
+std::shared_ptr<const WireCodec> hp_sparse_codec(HpConfig cfg) {
+  check_limbs(cfg);
+  // A WireCodec holds no state, so one immutable codec per limb count,
+  // built on first use, serves every op, rank and thread.
+  static const auto codecs = [] {
+    std::array<std::shared_ptr<const WireCodec>, kMaxLimbs + 1> all;
+    for (int n = 1; n <= kMaxLimbs; ++n) {
+      all[static_cast<std::size_t>(n)] = make_sparse_codec(n);
+    }
+    return all;
+  }();
+  return codecs[static_cast<std::size_t>(cfg.n)];
 }
 
 Datatype hp_datatype(HpConfig cfg) {
@@ -34,9 +68,13 @@ Datatype hp_datatype(HpConfig cfg) {
 }
 
 Op hp_sum_op(HpConfig cfg, Wire wire) {
-  validate(cfg);
+  check_limbs(cfg);
   const int n = cfg.n;
-  auto sticky = std::make_shared<std::atomic<std::uint8_t>>(0);
+  auto sticky_cell = std::make_shared<std::atomic<std::uint8_t>>(0);
+  // A plain pointer to the mask, kept alive by op.sticky_status: with n it
+  // fits std::function's inline storage, so building the op allocates
+  // only the mask.
+  std::atomic<std::uint8_t>* sticky = sticky_cell.get();
   Op op;
   op.fn = [n, sticky](std::byte* inout, const std::byte* in) {
     // memcpy in/out of aligned scratch: message buffers carry no
@@ -55,7 +93,7 @@ Op hp_sum_op(HpConfig cfg, Wire wire) {
     std::memcpy(inout, a, bytes);
   };
   op.name = "hp-sum";
-  op.sticky_status = std::move(sticky);
+  op.sticky_status = std::move(sticky_cell);
   if (wire == Wire::kSparse) op.codec = hp_sparse_codec(cfg);
   return op;
 }
@@ -112,9 +150,9 @@ Op f64_sum_op() {
 HpDyn reduce_hp_value(Comm& comm, const HpDyn& local, int root,
                       ReduceAlgo algo, Wire wire) {
   const HpConfig cfg = local.config();
-  std::vector<std::byte> send(local.byte_size());
-  local.to_bytes(send.data());
-  std::vector<std::byte> recv(local.byte_size());
+  std::byte send[kMaxValueBytes];
+  std::byte recv[kMaxValueBytes];
+  local.to_bytes(send);
   Op op = hp_sum_op(cfg, wire);
 
   if (wire == Wire::kSparse) {
@@ -122,10 +160,10 @@ HpDyn reduce_hp_value(Comm& comm, const HpDyn& local, int root,
     // deposit-phase flags ride along (seed_status) and one reduction moves
     // both limbs and status; the root's Op mask ends up as the global OR.
     op.seed_status = static_cast<std::uint8_t>(local.status());
-    comm.reduce(send.data(), recv.data(), 1, hp_datatype(cfg), op, root, algo);
+    comm.reduce(send, recv, 1, hp_datatype(cfg), op, root, algo);
     HpDyn out(cfg);
     if (comm.rank() == root) {
-      out.from_bytes(recv.data());
+      out.from_bytes(recv);
       out.or_status(static_cast<HpStatus>(op.observed_status()));
     } else {
       out = local;
@@ -133,7 +171,7 @@ HpDyn reduce_hp_value(Comm& comm, const HpDyn& local, int root,
     return out;
   }
 
-  comm.reduce(send.data(), recv.data(), 1, hp_datatype(cfg), op, root, algo);
+  comm.reduce(send, recv, 1, hp_datatype(cfg), op, root, algo);
 
   // The raw wire format carries limbs only, and combine steps run on
   // whichever rank the algorithm places them on — so the status masks have
@@ -148,7 +186,7 @@ HpDyn reduce_hp_value(Comm& comm, const HpDyn& local, int root,
 
   HpDyn out(cfg);
   if (comm.rank() == root) {
-    out.from_bytes(recv.data());
+    out.from_bytes(recv);
     out.or_status(static_cast<HpStatus>(st_recv));
   } else {
     out = local;
@@ -159,27 +197,27 @@ HpDyn reduce_hp_value(Comm& comm, const HpDyn& local, int root,
 HpDyn allreduce_hp_value(Comm& comm, const HpDyn& local, ReduceAlgo algo,
                          Wire wire) {
   const HpConfig cfg = local.config();
-  std::vector<std::byte> send(local.byte_size());
-  local.to_bytes(send.data());
-  std::vector<std::byte> recv(local.byte_size());
+  std::byte send[kMaxValueBytes];
+  std::byte recv[kMaxValueBytes];
+  local.to_bytes(send);
   Op op = hp_sum_op(cfg, wire);
 
   HpDyn out(cfg);
   if (wire == Wire::kSparse) {
     op.seed_status = static_cast<std::uint8_t>(local.status());
-    comm.allreduce(send.data(), recv.data(), 1, hp_datatype(cfg), op, algo);
-    out.from_bytes(recv.data());
+    comm.allreduce(send, recv, 1, hp_datatype(cfg), op, algo);
+    out.from_bytes(recv);
     out.or_status(static_cast<HpStatus>(op.observed_status()));
     return out;
   }
 
-  comm.allreduce(send.data(), recv.data(), 1, hp_datatype(cfg), op, algo);
+  comm.allreduce(send, recv, 1, hp_datatype(cfg), op, algo);
   std::byte st_send{static_cast<std::uint8_t>(
       static_cast<std::uint8_t>(local.status()) | op.observed_status())};
   std::byte st_recv{0};
   comm.allreduce(&st_send, &st_recv, 1, hp_status_datatype(),
                  hp_status_or_op(), algo);
-  out.from_bytes(recv.data());
+  out.from_bytes(recv);
   out.or_status(static_cast<HpStatus>(st_recv));
   return out;
 }

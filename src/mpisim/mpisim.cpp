@@ -1,19 +1,19 @@
 #include "mpisim/mpisim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "mpisim/fiber.hpp"
+#include "mpisim/wire.hpp"
 #include "trace/flight.hpp"
 #include "trace/trace.hpp"
 
@@ -31,6 +31,48 @@ constexpr int kAutoThreadLimit = 128;
 void copy_bytes(void* dst, const void* src, std::size_t n) {
   if (n > 0) std::memcpy(dst, src, n);
 }
+
+/// Payload bytes held inside a message or staging buffer: one sparse
+/// HP(6,3) element at its worst case — the paper's format, and the
+/// allreduce step's message. Its 48-byte raw image fits too.
+constexpr std::size_t kInlinePayload = wire::encoded_bound(6, 1);
+
+/// A byte buffer that holds up to kInlinePayload bytes inline and larger
+/// contents in a heap block. The heap block is kept across resizes, so a
+/// reused buffer (a mailbox slot) stops allocating once it has seen its
+/// largest payload; a stack-local one never allocates for small payloads.
+class InlineBytes {
+ public:
+  InlineBytes() = default;
+  explicit InlineBytes(std::size_t n) { resize(n); }
+
+  /// Makes room for `n` bytes (contents unspecified) and returns them.
+  std::byte* resize(std::size_t n) {
+    on_heap_ = n > kInlinePayload;
+    if (on_heap_ && heap_.size() < n) heap_.resize(n);
+    size_ = n;
+    return data();
+  }
+  /// Trims the size to `n` <= size() without moving the contents.
+  void shrink(std::size_t n) noexcept {
+    assert(n <= size_);
+    size_ = n;
+  }
+
+  [[nodiscard]] std::byte* data() noexcept {
+    return on_heap_ ? heap_.data() : inline_;
+  }
+  [[nodiscard]] const std::byte* data() const noexcept {
+    return on_heap_ ? heap_.data() : inline_;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+  bool on_heap_ = false;
+  std::vector<std::byte> heap_;
+  alignas(std::uint64_t) std::byte inline_[kInlinePayload] = {};
+};
 
 /// Per-rank execution context for the multiplexed engine: which fiber runs
 /// the rank and why it is blocked. Written only by the rank's own worker
@@ -72,7 +114,8 @@ class Runtime {
   struct Message {
     int source = 0;
     int tag = 0;
-    std::vector<std::byte> data;
+    std::uint64_t seq = 0;  ///< post order in the mailbox (FIFO per tag)
+    InlineBytes data;
   };
 
   /// Worker-pool wake channel for the multiplexed engine: a worker sleeps
@@ -85,7 +128,16 @@ class Runtime {
   };
 
   explicit Runtime(int nranks)
-      : nranks_(nranks), mailboxes_(static_cast<std::size_t>(nranks)) {}
+      : nranks_(nranks), mailboxes_(static_cast<std::size_t>(nranks)) {
+    // 2m + 2 slots, m = floor(log2 p): the most messages one collective
+    // of the log-depth topologies can leave pending for a rank (a send
+    // from each partner in each phase, plus the pairwise fold in and
+    // out). Only a linear root outgrows it, in its first collective.
+    const int m = std::bit_width(static_cast<unsigned>(nranks)) - 1;
+    for (Mailbox& box : mailboxes_) {
+      box.slots.reserve(2 * static_cast<std::size_t>(m) + 2);
+    }
+  }
 
   [[nodiscard]] int size() const noexcept { return nranks_; }
 
@@ -131,25 +183,41 @@ class Runtime {
     return first_error_;
   }
 
-  /// Delivers a deep-copied message into `dest`'s mailbox.
-  void post(int dest, Message msg) {
+  /// Posts a message from `source` into `dest`'s mailbox; `fill` writes
+  /// its payload into the mailbox slot's InlineBytes.
+  template <class Fill>
+  void post(int dest, int source, int tag, Fill&& fill) {
     check_rank(dest);
     Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
     {
       const std::lock_guard<std::mutex> lock(box.mu);
-      box.queue.push_back(std::move(msg));
+      if (box.live == box.slots.size()) box.slots.emplace_back();
+      Message& msg = box.slots[box.live];
+      msg.source = source;
+      msg.tag = tag;
+      msg.seq = box.next_seq++;
+      fill(msg.data);
+      ++box.live;
     }
     if (workers_.empty()) {
       box.cv.notify_all();
-    } else {
-      wake_worker(dest % static_cast<int>(workers_.size()));
+      return;
+    }
+    // A fiber posting to a rank of its own worker needs no wake: the
+    // worker rescans all its ranks after any pass that resumed a fiber.
+    const int nworkers = static_cast<int>(workers_.size());
+    const RankCtx* ctx = tl_ctx;
+    if (ctx == nullptr || ctx->rank % nworkers != dest % nworkers) {
+      wake_worker(dest % nworkers);
     }
   }
 
   /// Blocks until a message from (source, tag) is available for `dest`,
-  /// removes and returns it. Throws RankAborted once the runtime is
+  /// hands its payload to `consume` inside the mailbox, then retires it
+  /// (also when `consume` throws). Throws RankAborted once the runtime is
   /// poisoned (instead of waiting for a message that will never come).
-  Message take(int dest, int source, int tag) {
+  template <class Consume>
+  void take(int dest, int source, int tag, Consume&& consume) {
     check_rank(dest);
     check_rank(source);
     Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
@@ -158,7 +226,8 @@ class Runtime {
       std::unique_lock<std::mutex> lock(box.mu);
       for (;;) {
         if (poisoned()) throw RankAborted();
-        if (auto msg = match(box, source, tag)) return std::move(*msg);
+        const std::size_t i = match(box, source, tag);
+        if (i < box.live) return consume_slot(box, i, consume);
         box.cv.wait(lock);
       }
     }
@@ -166,9 +235,10 @@ class Runtime {
       {
         const std::lock_guard<std::mutex> lock(box.mu);
         if (poisoned()) throw RankAborted();
-        if (auto msg = match(box, source, tag)) {
+        const std::size_t i = match(box, source, tag);
+        if (i < box.live) {
           ctx->block = RankCtx::Block::kNone;
-          return std::move(*msg);
+          return consume_slot(box, i, consume);
         }
         // Register the wait reason while holding the mailbox lock: a post
         // landing after this scan bumps our worker's epoch, so the yield
@@ -230,10 +300,7 @@ class Runtime {
       case RankCtx::Block::kRecv: {
         Mailbox& box = mailboxes_[static_cast<std::size_t>(c.rank)];
         const std::lock_guard<std::mutex> lock(box.mu);
-        return std::any_of(box.queue.begin(), box.queue.end(),
-                           [&](const Message& m) {
-                             return m.source == c.src && m.tag == c.tag;
-                           });
+        return match(box, c.src, c.tag) < box.live;
       }
     }
     return true;
@@ -258,21 +325,46 @@ class Runtime {
   }
 
  private:
+  /// Slots [0, live) hold pending messages in no particular order (seq
+  /// keeps each (source, tag) stream FIFO); the slots above are retired
+  /// ones, kept with their payload buffers for the next post. The vector
+  /// only grows — to the most messages ever pending at once — so
+  /// steady-state post and take allocate nothing.
   struct Mailbox {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<Message> queue;
+    std::vector<Message> slots;
+    std::size_t live = 0;
+    std::uint64_t next_seq = 0;
   };
 
-  static std::optional<Message> match(Mailbox& box, int source, int tag) {
-    const auto it = std::find_if(
-        box.queue.begin(), box.queue.end(), [&](const Message& m) {
-          return m.source == source && m.tag == tag;
-        });
-    if (it == box.queue.end()) return std::nullopt;
-    Message msg = std::move(*it);
-    box.queue.erase(it);
-    return msg;
+  /// Index of the oldest pending message from (source, tag); box.live if
+  /// there is none. Caller holds box.mu.
+  static std::size_t match(const Mailbox& box, int source, int tag) {
+    std::size_t hit = box.live;
+    for (std::size_t i = 0; i < box.live; ++i) {
+      const Message& m = box.slots[i];
+      if (m.source == source && m.tag == tag &&
+          (hit == box.live || m.seq < box.slots[hit].seq)) {
+        hit = i;
+      }
+    }
+    return hit;
+  }
+
+  /// Runs `consume` on pending slot i, then retires the slot by swapping
+  /// it just past the live range. Caller holds box.mu.
+  template <class Consume>
+  static void consume_slot(Mailbox& box, std::size_t i, Consume& consume) {
+    struct Retire {
+      Mailbox& box;
+      std::size_t i;
+      ~Retire() {
+        const std::size_t last = --box.live;
+        if (i != last) std::swap(box.slots[i], box.slots[last]);
+      }
+    } retire{box, i};
+    consume(std::as_const(box.slots[i].data));
   }
 
   void wake_worker(int w) {
@@ -325,37 +417,59 @@ void Comm::send(int dest, int tag, const void* buf, std::size_t bytes) {
       flight::pack_pair(static_cast<std::uint64_t>(rank_),
                         static_cast<std::uint64_t>(dest)),
       flight::pack_pair(flight::current_reduction_id(), bytes));
-  Runtime::Message msg;
-  msg.source = rank_;
-  msg.tag = tag;
-  const auto* p = static_cast<const std::byte*>(buf);
-  msg.data.assign(p, p + bytes);
-  rt_->post(dest, std::move(msg));
+  rt_->post(dest, rank_, tag, [&](InlineBytes& out) {
+    copy_bytes(out.resize(bytes), buf, bytes);
+  });
+}
+
+std::size_t Comm::send_encoded(int dest, int tag, const WireCodec& codec,
+                               const std::byte* raw, std::size_t count,
+                               std::uint8_t status) {
+  rt_->abort_check();
+  std::size_t bytes = 0;
+  rt_->post(dest, rank_, tag, [&](InlineBytes& out) {
+    bytes = codec.encode(raw, count, status, out.resize(codec.bound(count)));
+    out.shrink(bytes);
+  });
+  rt_->note_message(bytes);
+  flight::instant(
+      flight::EventId::kMpiSend,
+      flight::pack_pair(static_cast<std::uint64_t>(rank_),
+                        static_cast<std::uint64_t>(dest)),
+      flight::pack_pair(flight::current_reduction_id(), bytes));
+  return bytes;
 }
 
 void Comm::recv(int source, int tag, void* buf, std::size_t bytes) {
-  Runtime::Message msg = rt_->take(rank_, source, tag);
+  rt_->take(rank_, source, tag, [&](const InlineBytes& msg) {
+    if (msg.size() != bytes) {
+      throw std::logic_error("mpisim: recv size mismatch (expected " +
+                             std::to_string(bytes) + ", got " +
+                             std::to_string(msg.size()) + ")");
+    }
+    copy_bytes(buf, msg.data(), bytes);
+  });
   flight::instant(
       flight::EventId::kMpiRecv,
       flight::pack_pair(static_cast<std::uint64_t>(rank_),
                         static_cast<std::uint64_t>(source)),
       flight::pack_pair(flight::current_reduction_id(), bytes));
-  if (msg.data.size() != bytes) {
-    throw std::logic_error("mpisim: recv size mismatch (expected " +
-                           std::to_string(bytes) + ", got " +
-                           std::to_string(msg.data.size()) + ")");
-  }
-  copy_bytes(buf, msg.data.data(), bytes);
 }
 
-std::vector<std::byte> Comm::recv_any(int source, int tag) {
-  Runtime::Message msg = rt_->take(rank_, source, tag);
+std::uint8_t Comm::recv_decoded(int source, int tag, const WireCodec& codec,
+                                std::byte* raw, std::size_t count) {
+  std::uint8_t status = 0;
+  std::size_t bytes = 0;
+  rt_->take(rank_, source, tag, [&](const InlineBytes& msg) {
+    bytes = msg.size();
+    status = codec.decode(msg.data(), bytes, raw, count);
+  });
   flight::instant(
       flight::EventId::kMpiRecv,
       flight::pack_pair(static_cast<std::uint64_t>(rank_),
                         static_cast<std::uint64_t>(source)),
-      flight::pack_pair(flight::current_reduction_id(), msg.data.size()));
-  return std::move(msg.data);
+      flight::pack_pair(flight::current_reduction_id(), bytes));
+  return status;
 }
 
 void Comm::barrier() { rt_->barrier_wait(); }
@@ -393,7 +507,7 @@ struct detail::Coll {
     const Op& op;
     std::size_t count;
     bool sparse;
-    std::vector<std::byte> scratch;  ///< recv_combine staging, lazily sized
+    InlineBytes scratch;  ///< recv_combine staging
   };
 
   /// Rank of virtual rank v in the power-of-two phase.
@@ -417,10 +531,9 @@ struct detail::Coll {
       x.c.send(to, x.tag, p, raw_bytes);
       return;
     }
-    const std::vector<std::byte> msg =
-        x.op.codec->encode(p, hi - lo, x.op.observed_status());
-    note_wire(x, raw_bytes, msg.size());
-    x.c.send(to, x.tag, msg.data(), msg.size());
+    const std::size_t encoded_bytes = x.c.send_encoded(
+        to, x.tag, *x.op.codec, p, hi - lo, x.op.observed_status());
+    note_wire(x, raw_bytes, encoded_bytes);
   }
 
   /// Receives elements [lo, hi) into `base` (no combine). Sparse mode ORs
@@ -431,9 +544,8 @@ struct detail::Coll {
       x.c.recv(from, x.tag, base + lo * x.dt.size, (hi - lo) * x.dt.size);
       return;
     }
-    const std::vector<std::byte> msg = x.c.recv_any(from, x.tag);
-    const std::uint8_t st = x.op.codec->decode(
-        msg.data(), msg.size(), base + lo * x.dt.size, hi - lo);
+    const std::uint8_t st = x.c.recv_decoded(
+        from, x.tag, *x.op.codec, base + lo * x.dt.size, hi - lo);
     if (st != 0) {
       x.op.sticky_status->fetch_or(st, std::memory_order_relaxed);
     }
@@ -443,12 +555,10 @@ struct detail::Coll {
   /// element order (the deterministic per-rank op order).
   static void recv_combine(Ctx& x, int from, std::byte* acc, std::size_t lo,
                            std::size_t hi) {
-    if (x.scratch.size() < x.count * x.dt.size) {
-      x.scratch.resize(x.count * x.dt.size);
-    }
-    recv_range(x, from, x.scratch.data(), lo, hi);
+    std::byte* staged = x.scratch.resize(x.count * x.dt.size);
+    recv_range(x, from, staged, lo, hi);
     for (std::size_t e = lo; e < hi; ++e) {
-      x.op.fn(acc + e * x.dt.size, x.scratch.data() + e * x.dt.size);
+      x.op.fn(acc + e * x.dt.size, staged + e * x.dt.size);
     }
   }
 
@@ -570,8 +680,10 @@ struct detail::Coll {
       }
       return;
     }
-    const std::vector<std::byte> msg =
-        x.op.codec->encode(buf, x.count, x.op.observed_status());
+    // Encode once, then post a copy to every rank.
+    InlineBytes msg(x.op.codec->bound(x.count));
+    msg.shrink(x.op.codec->encode(buf, x.count, x.op.observed_status(),
+                                  msg.data()));
     for (int g = 0; g < x.p; ++g) {
       if (g == root) continue;
       note_wire(x, raw_bytes, msg.size());
@@ -602,7 +714,7 @@ struct detail::Coll {
         // op order than kLinear (bit-identical for HP, different rounding
         // for doubles).
         const int vr = (x.me - root + x.p) % x.p;
-        std::vector<std::byte> acc(bytes);
+        InlineBytes acc(bytes);
         copy_bytes(acc.data(), send_buf, bytes);
         for (int step = 1; step < x.p; step <<= 1) {
           if ((vr & step) != 0) {
@@ -620,14 +732,14 @@ struct detail::Coll {
         // The butterfly is inherently an allreduce; as a rooted reduce,
         // off-root ranks simply discard their copy (topology testbed, not
         // a message-optimal rooted reduce — see ReduceAlgo docs).
-        std::vector<std::byte> acc(bytes);
+        InlineBytes acc(bytes);
         copy_bytes(acc.data(), send_buf, bytes);
         butterfly(x, acc.data());
         if (x.me == root) copy_bytes(recv_buf, acc.data(), bytes);
         return;
       }
       case ReduceAlgo::kRecursiveHalving: {
-        std::vector<std::byte> acc(bytes);
+        InlineBytes acc(bytes);
         copy_bytes(acc.data(), send_buf, bytes);
         const Pow2 s = pow2_split(x.p);
         const int vr = fold_in(x, acc.data(), s);
@@ -706,14 +818,14 @@ struct detail::Coll {
         bcast_result(x, recv, /*root=*/0);
         return;
       case ReduceAlgo::kRecursiveDoubling: {
-        std::vector<std::byte> acc(bytes);
+        InlineBytes acc(bytes);
         copy_bytes(acc.data(), send_buf, bytes);
         butterfly(x, acc.data());
         copy_bytes(recv, acc.data(), bytes);
         return;
       }
       case ReduceAlgo::kRecursiveHalving: {
-        std::vector<std::byte> acc(bytes);
+        InlineBytes acc(bytes);
         copy_bytes(acc.data(), send_buf, bytes);
         const Pow2 s = pow2_split(x.p);
         const int vr = fold_in(x, acc.data(), s);

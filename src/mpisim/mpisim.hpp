@@ -84,10 +84,18 @@ struct Datatype {
 /// decode returns the received mask, which the runtime ORs into the
 /// receiver's Op mask — in-band status gossip that makes a separate
 /// status-only reduction unnecessary (docs/FORMAT.md, hp_ops.hpp).
+///
+/// The runtime encodes straight into the message it posts and decodes
+/// from the mailbox entry, so a codec is called concurrently from every
+/// rank and must hold no mutable state.
 struct WireCodec {
   std::string name;
-  std::function<std::vector<std::byte>(const std::byte* raw,
-                                       std::size_t count, std::uint8_t status)>
+  /// Upper bound on the encoded size of `count` elements.
+  std::function<std::size_t(std::size_t count)> bound;
+  /// Encodes `count` elements plus the status mask into `out`, which holds
+  /// at least bound(count) bytes; returns the encoded size.
+  std::function<std::size_t(const std::byte* raw, std::size_t count,
+                            std::uint8_t status, std::byte* out)>
       encode;
   std::function<std::uint8_t(const std::byte* msg, std::size_t msg_bytes,
                              std::byte* raw, std::size_t count)>
@@ -97,6 +105,9 @@ struct WireCodec {
 /// Reduction operator (MPI_Op analogue): combines one element in place,
 /// inout = inout (op) in.
 struct Op {
+  /// The combine. It may record conditions through a pointer to
+  /// *sticky_status (hp_sum_op's does, so its closure fits std::function's
+  /// inline storage); keep the Op, or a copy of it, alive while calling it.
   std::function<void(std::byte* inout, const std::byte* in)> fn;
   std::string name;
   /// Optional condition mask. Ops whose combine step can observe
@@ -244,8 +255,15 @@ class Comm {
   /// (std::logic_error otherwise).
   void send(int dest, int tag, const void* buf, std::size_t bytes);
   void recv(int source, int tag, void* buf, std::size_t bytes);
-  /// Variable-size receive for codec-encoded payloads.
-  [[nodiscard]] std::vector<std::byte> recv_any(int source, int tag);
+  /// Codec-encoded counterparts: send_encoded encodes `count` elements and
+  /// `status` straight into the posted message and returns its size;
+  /// recv_decoded decodes the matching message in place in the mailbox
+  /// and returns the status mask it carried.
+  std::size_t send_encoded(int dest, int tag, const WireCodec& codec,
+                           const std::byte* raw, std::size_t count,
+                           std::uint8_t status);
+  std::uint8_t recv_decoded(int source, int tag, const WireCodec& codec,
+                            std::byte* raw, std::size_t count);
 
   [[nodiscard]] int next_collective_tag() noexcept {
     return detail::collective_tag(coll_seq_++);

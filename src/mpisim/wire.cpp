@@ -45,16 +45,15 @@ Span span_of(std::uint64_t diff) {
 
 }  // namespace
 
-std::vector<std::byte> encode(const std::byte* raw, std::size_t count, int n,
-                              std::uint8_t status) {
+std::size_t encode_into(const std::byte* raw, std::size_t count, int n,
+                        std::uint8_t status, std::byte* out) noexcept {
   const std::size_t map_bytes = (static_cast<std::size_t>(n) + 3) / 4;
-  // Zero-initialized, so every map starts as all kCodeZeros.
-  std::vector<std::byte> out(encoded_bound(n, count));
-  std::byte* p = out.data();
+  std::byte* p = out;
   *p++ = static_cast<std::byte>(status);
   for (std::size_t e = 0; e < count; ++e) {
     const std::byte* elem = raw + e * static_cast<std::size_t>(n) * kLimbBytes;
     std::byte* map = p;
+    std::memset(map, 0, map_bytes);  // every limb starts as kCodeZeros
     p += map_bytes;
     for (int i = 0; i < n; ++i) {
       const std::byte* limb = elem + static_cast<std::size_t>(i) * kLimbBytes;
@@ -80,7 +79,13 @@ std::vector<std::byte> encode(const std::byte* raw, std::size_t count, int n,
       }
     }
   }
-  out.resize(static_cast<std::size_t>(p - out.data()));
+  return static_cast<std::size_t>(p - out);
+}
+
+std::vector<std::byte> encode(const std::byte* raw, std::size_t count, int n,
+                              std::uint8_t status) {
+  std::vector<std::byte> out(encoded_bound(n, count));
+  out.resize(encode_into(raw, count, n, status, out.data()));
   return out;
 }
 

@@ -57,6 +57,12 @@ inline constexpr std::size_t kLimbBytes = 8;
   return 1 + count * per_elem;
 }
 
+/// Encodes `count` raw HP elements like encode(), straight into `out`,
+/// which must hold at least encoded_bound(n, count) bytes; returns the
+/// encoded size. Allocates nothing.
+std::size_t encode_into(const std::byte* raw, std::size_t count, int n,
+                        std::uint8_t status, std::byte* out) noexcept;
+
 /// Encodes `count` raw HP elements (`count * n * 8` bytes of raw limb
 /// image, most-significant limb first, each limb little-endian) plus a
 /// status mask into a sparse message.

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "core/hp_config.hpp"
+#include "util/limbs.hpp"
 #include "util/prng.hpp"
 
 namespace hpsum {
@@ -350,6 +354,197 @@ TEST(HpConvert, WideFormatUsesExactPath) {
     hp_to_double(util::ConstLimbSpan(a), cfg, &out);
     EXPECT_EQ(out, r);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Word-level extract_u64 / to_double_impl against the bit-at-a-time
+// versions they replaced, kept here as the reference.
+
+/// The original extract: one bit per iteration, 64 iterations.
+constexpr std::uint64_t reference_extract_u64(const Limb* limbs, int n,
+                                              int lowbit) {
+  std::uint64_t out = 0;
+  for (int b = 0; b < 64; ++b) {
+    const int p = lowbit + b;
+    if (p < 0 || p >= 64 * n) continue;
+    const int li = n - 1 - p / 64;
+    const int off = p % 64;
+    out |= ((limbs[li] >> off) & 1ull) << b;
+  }
+  return out;
+}
+
+/// The original to_double_impl: negates a zeroed kMaxLimbs copy and
+/// extracts with reference_extract_u64; the rounding is unchanged.
+constexpr HpStatus reference_to_double(const Limb* a, int n, int k,
+                                       double* out) {
+  Limb mag[kMaxLimbs] = {};
+  for (int i = 0; i < n; ++i) mag[i] = a[i];
+  const auto span = util::LimbSpan(mag, static_cast<std::size_t>(n));
+  const bool neg = util::sign_bit(span);
+  if (neg) util::negate_twos(span);
+  const int h = util::highest_set_bit(span);
+  if (h < 0) {
+    *out = 0.0;
+    return HpStatus::kOk;
+  }
+  const std::uint64_t top = reference_extract_u64(mag, n, h - 63);
+  const bool sticky = detail::any_bits_below(mag, n, h - 63);
+  std::uint64_t mant = top >> 11;
+  const std::uint64_t round = top & 0x7FF;
+  const bool roundup =
+      round > 0x400 || (round == 0x400 && (sticky || (mant & 1) != 0));
+  mant += static_cast<std::uint64_t>(roundup);
+  int e = (h - 64 * k) - 52;
+  if (mant == (std::uint64_t{1} << 53)) {
+    mant >>= 1;
+    ++e;
+  }
+  const int be = e + 1075;
+  HpStatus st = HpStatus::kOk;
+  std::uint64_t dbits = 0;
+  if (be >= 0x7FF) {
+    dbits = std::uint64_t{0x7FF} << 52;
+    st |= HpStatus::kToDoubleOverflow;
+  } else if (be >= 1) {
+    dbits = (static_cast<std::uint64_t>(be) << 52) |
+            (mant & ((std::uint64_t{1} << 52) - 1));
+  } else {
+    const int sh = 1 - be;
+    std::uint64_t q = 0;
+    if (sh <= 54) {
+      q = mant >> sh;
+      const std::uint64_t rem = mant & ((std::uint64_t{1} << sh) - 1);
+      const std::uint64_t half = std::uint64_t{1} << (sh - 1);
+      if (rem > half || (rem == half && (q & 1) != 0)) ++q;
+    }
+    dbits = q;
+    if (q < (std::uint64_t{1} << 52)) st |= HpStatus::kToDoubleInexact;
+  }
+  if (neg) dbits |= std::uint64_t{1} << 63;
+  *out = std::bit_cast<double>(dbits);
+  return st;
+}
+
+constexpr double to_double_of(const Limb* a, int n, int k) {
+  double out = 0;
+  detail::to_double_impl(a, n, k, &out);
+  return out;
+}
+
+// Both stay constexpr: spot checks evaluated by the compiler.
+constexpr Limb kTwoLimbs[2] = {0x1, 0x8000000000000001};
+static_assert(detail::extract_u64(kTwoLimbs, 2, 63) == 0x3);
+static_assert(detail::extract_u64(kTwoLimbs, 2, -1) == 0x2);
+static_assert(detail::extract_u64(kTwoLimbs, 2, -64) == 0);
+static_assert(detail::extract_u64(kTwoLimbs, 2, 128) == 0);
+static_assert(detail::extract_u64(kTwoLimbs, 2, 1) ==
+              reference_extract_u64(kTwoLimbs, 2, 1));
+static_assert(detail::extract_u64(kTwoLimbs, 2, 64) ==
+              reference_extract_u64(kTwoLimbs, 2, 64));
+constexpr Limb kOneAndHalf[2] = {1, 0x8000000000000000};  // HP(2,1) 1.5
+constexpr Limb kMinusOneAndHalf[2] = {0xFFFFFFFFFFFFFFFE, 0x8000000000000000};
+static_assert(to_double_of(kOneAndHalf, 2, 1) == 1.5);
+static_assert(to_double_of(kMinusOneAndHalf, 2, 1) == -1.5);
+constexpr Limb kTinyNegative[1] = {0xFFFFFFFFFFFFFFFF};  // HP(1,0) -1
+static_assert(to_double_of(kTinyNegative, 1, 0) == -1.0);
+
+/// Sets bit p (bit 0 = lsb of limbs[n-1]) of a big-endian limb array.
+void set_bit(std::vector<Limb>& limbs, int p) {
+  const auto n = static_cast<int>(limbs.size());
+  limbs[static_cast<std::size_t>(n - 1 - p / 64)] |= Limb{1} << (p % 64);
+}
+
+enum class Tail { kRandom, kTie, kTieSticky, kOnes };
+
+/// A non-negative magnitude with its msb at bit h; below the msb, `tail`
+/// picks random bits, an exact round-to-nearest tie (53 random top bits,
+/// then the guard bit alone), a tie plus one sticky bit, or all ones.
+std::vector<Limb> magnitude(int n, int h, Tail tail, util::Xoshiro256ss& rng) {
+  std::vector<Limb> limbs(static_cast<std::size_t>(n), 0);
+  set_bit(limbs, h);
+  const int mant_low = tail == Tail::kRandom || tail == Tail::kOnes
+                           ? 0
+                           : std::max(h - 52, 0);
+  for (int p = mant_low; p < h; ++p) {
+    if (tail == Tail::kOnes || (rng.next() & 1) != 0) set_bit(limbs, p);
+  }
+  if ((tail == Tail::kTie || tail == Tail::kTieSticky) && h >= 53) {
+    set_bit(limbs, h - 53);
+    if (tail == Tail::kTieSticky && h >= 54) set_bit(limbs, 0);
+  }
+  return limbs;
+}
+
+TEST(HpConvertWordLevel, ExtractMatchesBitLoopAtEveryLowbit) {
+  util::Xoshiro256ss rng(2024);
+  for (const int n : {1, 2, 6, 34}) {
+    std::vector<std::vector<Limb>> patterns;
+    patterns.emplace_back(static_cast<std::size_t>(n), ~Limb{0});
+    patterns.emplace_back(static_cast<std::size_t>(n), 0x8000000000000001);
+    for (int i = 0; i < 4; ++i) {
+      std::vector<Limb> random(static_cast<std::size_t>(n));
+      for (Limb& l : random) l = rng.next();
+      patterns.push_back(random);
+    }
+    for (const auto& limbs : patterns) {
+      for (int lowbit = -64; lowbit <= 64 * n; ++lowbit) {
+        ASSERT_EQ(detail::extract_u64(limbs.data(), n, lowbit),
+                  reference_extract_u64(limbs.data(), n, lowbit))
+            << "n=" << n << " lowbit=" << lowbit;
+      }
+    }
+  }
+}
+
+TEST(HpConvertWordLevel, ToDoubleMatchesBitLoopReference) {
+  // Every msb position h — so the bottom limb (lowbit = h - 63 < 0) and
+  // both sides of every limb boundary — with each tail shape and sign,
+  // in formats whose k puts the results in the normal, subnormal and
+  // overflow ranges.
+  util::Xoshiro256ss rng(4048);
+  const HpConfig formats[] = {{1, 0}, {1, 1}, {2, 1}, {6, 3}, {34, 17},
+                              {34, 0}};
+  for (const HpConfig cfg : formats) {
+    for (int h = 0; h < 64 * cfg.n - 1; ++h) {
+      for (const Tail tail :
+           {Tail::kRandom, Tail::kTie, Tail::kTieSticky, Tail::kOnes}) {
+        auto limbs = magnitude(cfg.n, h, tail, rng);
+        for (const bool negative : {false, true}) {
+          if (negative) {
+            util::negate_twos(util::LimbSpan(limbs));
+          }
+          double got = 0;
+          double want = 0;
+          const HpStatus got_st =
+              detail::to_double_impl(limbs.data(), cfg.n, cfg.k, &got);
+          const HpStatus want_st =
+              reference_to_double(limbs.data(), cfg.n, cfg.k, &want);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                    std::bit_cast<std::uint64_t>(want))
+              << "n=" << cfg.n << " k=" << cfg.k << " h=" << h
+              << " tail=" << static_cast<int>(tail) << " neg=" << negative;
+          ASSERT_EQ(got_st, want_st) << "n=" << cfg.n << " h=" << h;
+        }
+      }
+    }
+  }
+}
+
+TEST(HpConvertWordLevel, TiesRoundToEvenInBothDirections) {
+  // HP(2,0): 2^64 + 2^11 is a tie below an even mantissa (stays 2^64);
+  // 2^64 + 3*2^11 is a tie below an odd one (rounds up to 2^64 + 2^13).
+  const std::vector<Limb> even = {1, Limb{1} << 11};
+  const std::vector<Limb> odd = {1, Limb{3} << 11};
+  for (const auto* limbs : {&even, &odd}) {
+    double got = 0;
+    double want = 0;
+    detail::to_double_impl(limbs->data(), 2, 0, &got);
+    reference_to_double(limbs->data(), 2, 0, &want);
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_EQ(back(even, {2, 0}), std::ldexp(1.0, 64));
+  EXPECT_EQ(back(odd, {2, 0}), std::ldexp(1.0, 64) + std::ldexp(1.0, 13));
 }
 
 }  // namespace

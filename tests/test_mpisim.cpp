@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -562,6 +564,108 @@ TEST(Mpisim, HpAllreduceAgreesOnEveryRankWithGlobalStatus) {
         EXPECT_EQ(status[ri], ref.status())
             << "rank=" << r << " algo=" << static_cast<int>(algo)
             << " wire=" << static_cast<int>(wire);
+      }
+    }
+  }
+}
+
+// Sparse and raw wires deliver the same limbs and status on every rank, for
+// every algorithm on both engines, at counts whose encoded messages sit on
+// both sides of the mailbox's inline payload (one worst-case sparse
+// HP(6,3) element): HP(6,3) x 1..8 and HP(34,17) x 1..3.
+TEST(Mpisim, SparseWireMatchesRawAcrossInlinePayloadSizes) {
+  struct Case {
+    HpConfig cfg;
+    std::size_t max_count;
+  };
+  const int ranks = 6;  // not a power of two: the fold-in/out paths run
+  for (const Case c : {Case{{6, 3}, 8}, Case{{34, 17}, 3}}) {
+    const HpConfig cfg = c.cfg;
+    const Datatype dt = hp_datatype(cfg);
+    for (std::size_t count = 1; count <= c.max_count; ++count) {
+      // Element e of rank r: a value of mixed sign and magnitude; element
+      // 1 instead carries 2^61 in the top limb, so the ranks' sum
+      // overflows (kAddOverflow in some combine). Rank 1 seeds kInexact.
+      std::vector<std::vector<std::byte>> images(ranks);
+      std::vector<HpDyn> want(count, HpDyn(cfg));
+      for (int r = 0; r < ranks; ++r) {
+        auto& image = images[static_cast<std::size_t>(r)];
+        image.resize(count * dt.size);
+        for (std::size_t e = 0; e < count; ++e) {
+          HpDyn v(cfg);
+          if (e == 1) {
+            v.limbs()[0] = util::Limb{1} << 61;
+          } else {
+            const double mag = std::ldexp(1.0 + 0.1 * static_cast<double>(r),
+                                          static_cast<int>(e * 13) - 40);
+            v += (r + static_cast<int>(e)) % 3 == 0 ? -mag : mag;
+          }
+          v.to_bytes(image.data() + e * dt.size);
+          want[e] += v;
+        }
+      }
+      std::uint8_t want_status = static_cast<std::uint8_t>(HpStatus::kInexact);
+      for (const HpDyn& w : want) {
+        want_status |= static_cast<std::uint8_t>(w.status());
+      }
+      for (const ReduceAlgo algo :
+           {ReduceAlgo::kLinear, ReduceAlgo::kBinomialTree,
+            ReduceAlgo::kRecursiveDoubling, ReduceAlgo::kRecursiveHalving}) {
+        for (const RunMode mode : {RunMode::kThreads, RunMode::kMultiplexed}) {
+          const auto ctx = [&] {
+            return "n=" + std::to_string(cfg.n) +
+                   " count=" + std::to_string(count) +
+                   " algo=" + std::to_string(static_cast<int>(algo)) +
+                   " mode=" + std::to_string(static_cast<int>(mode));
+          };
+          std::vector<std::byte> got[2];  // [wire]: every rank's result
+          std::vector<std::uint8_t> status[2];
+          for (const Wire wire : {Wire::kRaw, Wire::kSparse}) {
+            const auto w = static_cast<std::size_t>(wire == Wire::kSparse);
+            got[w].assign(ranks * count * dt.size, std::byte{0});
+            status[w].assign(ranks, 0);
+            RunOptions opts;
+            opts.mode = mode;
+            opts.workers = 2;
+            run(ranks,
+                [&](Comm& comm) {
+                  const auto r = static_cast<std::size_t>(comm.rank());
+                  Op op = hp_sum_op(cfg, wire);
+                  const std::uint8_t seed =
+                      r == 1 ? static_cast<std::uint8_t>(HpStatus::kInexact)
+                             : 0;
+                  op.seed_status = seed;
+                  comm.allreduce(images[r].data(),
+                                 got[w].data() + r * count * dt.size, count,
+                                 dt, op, algo);
+                  std::uint8_t st = op.observed_status();
+                  if (wire == Wire::kRaw) {
+                    // The raw wire carries no status: reduce it.
+                    auto st_send = static_cast<std::byte>(st | seed);
+                    std::byte st_recv{0};
+                    comm.allreduce(&st_send, &st_recv, 1,
+                                   hp_status_datatype(), hp_status_or_op(),
+                                   algo);
+                    st = static_cast<std::uint8_t>(st_recv);
+                  }
+                  status[w][r] = st;
+                },
+                opts);
+          }
+          EXPECT_EQ(got[0], got[1]) << ctx();
+          EXPECT_EQ(status[0], status[1]) << ctx();
+          for (int r = 0; r < ranks; ++r) {
+            const auto ri = static_cast<std::size_t>(r);
+            EXPECT_EQ(status[1][ri], want_status) << ctx() << " rank=" << r;
+            for (std::size_t e = 0; e < count; ++e) {
+              HpDyn v(cfg);
+              v.from_bytes(got[1].data() + (ri * count + e) * dt.size);
+              EXPECT_TRUE(std::equal(v.limbs().begin(), v.limbs().end(),
+                                     want[e].limbs().begin()))
+                  << ctx() << " rank=" << r << " element=" << e;
+            }
+          }
+        }
       }
     }
   }

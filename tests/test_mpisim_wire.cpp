@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/hp_dyn.hpp"
@@ -163,43 +165,98 @@ TEST(MpisimWire, EveryDefinedStatusMaskRoundTrips) {
   }
 }
 
+/// The codec's own model: per limb, a random fill and a random explicit
+/// span — plus fully random limbs for good measure.
+Image random_sparse_image(util::Xoshiro256ss& rng, std::size_t count, int n) {
+  Image raw = filled(count, n, std::byte{0x00});
+  for (std::size_t e = 0; e < count; ++e) {
+    for (int i = 0; i < n; ++i) {
+      std::byte* limb =
+          raw.data() +
+          (e * static_cast<std::size_t>(n) + static_cast<std::size_t>(i)) *
+              kLimbBytes;
+      const std::uint64_t kind = rng.next() % 4;
+      const std::byte fill =
+          (rng.next() & 1) != 0 ? std::byte{0xFF} : std::byte{0x00};
+      std::memset(limb, std::to_integer<int>(fill), kLimbBytes);
+      if (kind == 0) continue;  // pure fill
+      if (kind == 1) {          // random span
+        const std::size_t first = rng.next() % kLimbBytes;
+        const std::size_t len = 1 + rng.next() % (kLimbBytes - first);
+        for (std::size_t j = first; j < first + len; ++j) {
+          limb[j] = static_cast<std::byte>(rng.next() & 0xFF);
+        }
+      } else {  // fully random limb
+        for (std::size_t j = 0; j < kLimbBytes; ++j) {
+          limb[j] = static_cast<std::byte>(rng.next() & 0xFF);
+        }
+      }
+    }
+  }
+  return raw;
+}
+
 TEST(MpisimWire, FuzzRandomSparsePatternsRoundTripExactly) {
-  // Synthesize the codec's own model: per limb, a random fill and a random
-  // explicit span — plus fully random limbs for good measure.
   util::Xoshiro256ss rng(99);
   for (int iter = 0; iter < 500; ++iter) {
     const int n = 1 + static_cast<int>(rng.next() % 16);
     const std::size_t count = rng.next() % 4;
-    Image raw = filled(count, n, std::byte{0x00});
-    for (std::size_t e = 0; e < count; ++e) {
-      for (int i = 0; i < n; ++i) {
-        std::byte* limb =
-            raw.data() + (e * static_cast<std::size_t>(n) +
-                          static_cast<std::size_t>(i)) *
-                             kLimbBytes;
-        const std::uint64_t kind = rng.next() % 4;
-        const std::byte fill =
-            (rng.next() & 1) != 0 ? std::byte{0xFF} : std::byte{0x00};
-        std::memset(limb, std::to_integer<int>(fill), kLimbBytes);
-        if (kind == 0) continue;  // pure fill
-        if (kind == 1) {          // random span
-          const std::size_t first = rng.next() % kLimbBytes;
-          const std::size_t len = 1 + rng.next() % (kLimbBytes - first);
-          for (std::size_t j = first; j < first + len; ++j) {
-            limb[j] = static_cast<std::byte>(rng.next() & 0xFF);
-          }
-        } else {  // fully random limb
-          for (std::size_t j = 0; j < kLimbBytes; ++j) {
-            limb[j] = static_cast<std::byte>(rng.next() & 0xFF);
-          }
-        }
-      }
-    }
+    const Image raw = random_sparse_image(rng, count, n);
     const std::uint8_t status = iter % 2 == 0 ? kHpStatusMask : 0;
     expect_roundtrip(raw, count, n, status);
     EXPECT_EQ(encode(raw.data(), count, n, status),
               reference_encode(raw, count, n, status))
         << "iter " << iter;
+  }
+}
+
+TEST(MpisimWire, EncodeIntoMatchesEncode) {
+  // encode_into writes encode()'s bytes, and nothing past them, over the
+  // corpus the tests above use: fills, dense limbs, the fuzz patterns and
+  // real HP partials.
+  std::vector<std::pair<Image, int>> corpus;  // (raw image, n); count = 1
+  util::Xoshiro256ss rng(0xE1C0DE);
+  for (const int n : {1, 2, 4, 6, 16, 34}) {
+    corpus.emplace_back(filled(1, n, std::byte{0x00}), n);
+    corpus.emplace_back(filled(1, n, std::byte{0xFF}), n);
+    Image dense = filled(1, n, std::byte{0x00});
+    for (auto& b : dense) b = static_cast<std::byte>(rng.next() & 0xFF);
+    corpus.emplace_back(dense, n);
+    for (int i = 0; i < 20; ++i) {
+      corpus.emplace_back(random_sparse_image(rng, 1, n), n);
+    }
+  }
+  const HpConfig cfg{6, 3};
+  const auto xs = workload::lognormal_set(4096, 1234);
+  HpDyn acc(cfg);
+  for (std::size_t i = 0; i < xs.size(); i += 97) {
+    acc += i % 2 == 0 ? xs[i] : -xs[i];
+    Image raw(acc.byte_size());
+    acc.to_bytes(raw.data());
+    corpus.emplace_back(raw, cfg.n);
+  }
+  for (const auto& [image, n] : corpus) {
+    const std::size_t limb_bytes = static_cast<std::size_t>(n) * kLimbBytes;
+    for (const std::size_t count : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3}}) {
+      // `count` back-to-back copies of the element.
+      Image raw;
+      for (std::size_t e = 0; e < count; ++e) {
+        raw.insert(raw.end(), image.begin(), image.begin() + limb_bytes);
+      }
+      for (const std::uint8_t status : {std::uint8_t{0}, kHpStatusMask}) {
+        const Image want = encode(raw.data(), count, n, status);
+        Image out(encoded_bound(n, count) + 8, std::byte{0xA5});
+        const std::size_t size =
+            encode_into(raw.data(), count, n, status, out.data());
+        ASSERT_EQ(size, want.size()) << "n=" << n << " count=" << count;
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin()))
+            << "n=" << n << " count=" << count;
+        for (std::size_t j = size; j < out.size(); ++j) {
+          ASSERT_EQ(out[j], std::byte{0xA5}) << "wrote past the message";
+        }
+      }
+    }
   }
 }
 
